@@ -14,9 +14,9 @@ from .channel import ChannelOutput, EbN0Point, awgn_transmit, bpsk, ebn0_to_sigm
     multiplicative_noise, rayleigh_transmit
 from .decoding import DecodeConfig, DecodeOutcome, decode, decode_batch, line_search
 from .diffusion import NoiseSchedule, PosteriorCoefficients, forward_sample, mul_to_add_noise, \
-    posterior_coefficients, reverse_step
+    posterior_coefficients
 from .gf2 import Codeword, GeneratorMatrix, ParityCheckMatrix, Syndrome, builtin_code, encode, \
-    load_alist, ml_decode, parity_error_count, syndrome, systematic_generator
+    load_alist, ml_decode, syndrome, systematic_generator
 from .nn import ArchConfig, DenoiserModel, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainReport, train
 
@@ -30,7 +30,7 @@ __all__ = [
     "builtin_code", "decode", "decode_batch", "ebn0_to_sigma", "encode",
     "forward_sample", "line_search", "load_alist", "load_checkpoint",
     "make_rng", "ml_decode", "mul_to_add_noise", "multiplicative_noise",
-    "parity_error_count", "posterior_coefficients", "rayleigh_transmit",
-    "reverse_step", "run_ber", "save_checkpoint", "syndrome",
+    "posterior_coefficients", "rayleigh_transmit", "run_ber",
+    "save_checkpoint", "syndrome",
     "systematic_generator", "train",
 ]

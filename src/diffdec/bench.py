@@ -14,7 +14,7 @@ between decoders run under the same convention.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,19 @@ from .gf2 import GeneratorMatrix, ParityCheckMatrix, encode_batch, ml_decode_bat
     repetition_3_1, syndrome_weights, systematic_generator
 
 DECODER_KINDS = ("ddecc", "ddecc-ls", "bp", "ml")
+
+
+def artifact(report: str, config: dict | None, columns: str, rows) -> str:
+    """CSV artifact text: a ``# diffdec.report = <report>`` line, one
+    ``# key = value`` line per config entry (sorted by key), the column
+    header and the data rows.  The comment lines let the artifact serve as
+    a ``--config`` file that reproduces it."""
+    config = config or {}
+    lines = [f"# diffdec.report = {report}"]
+    lines += [f"# {key} = {config[key]}" for key in sorted(config)]
+    lines.append(columns)
+    lines += rows
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -97,23 +110,20 @@ class BerReport:
     config: dict[str, object] = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["# diffdec.report = bench"]
         echo = {"seed": self.seed, "workers": self.workers,
                 "min_words": self.stop.min_words,
                 "min_error_frames": self.stop.min_error_frames,
                 "max_words": self.stop.max_words}
         echo.update(self.config)
-        for key in sorted(echo):
-            lines.append(f"# {key} = {echo[key]}")
-        lines.append(",".join(CSV_COLUMNS))
+        rows = []
         for p in self.points:
             nlb = "" if p.neg_ln_ber is None else repr(p.neg_ln_ber)
-            lines.append(",".join([
+            rows.append(",".join([
                 p.decoder, repr(float(p.ebn0_db)), repr(p.sigma), str(p.words),
                 str(p.bits_sent), str(p.bit_errors), str(p.frame_errors),
                 repr(p.ber), repr(p.fer), nlb, repr(p.ber_se),
                 repr(p.iter_mean), repr(p.iter_std)]))
-        return "\n".join(lines) + "\n"
+        return artifact("bench", echo, ",".join(CSV_COLUMNS), rows)
 
 
 def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: float,
@@ -132,9 +142,7 @@ def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: fl
         if model is None or schedule is None:
             raise ValueError(f"decoder {kind!r} needs a trained model and its schedule")
         mode = "line_search" if kind == "ddecc-ls" else "regular"
-        base = decode_config or DecodeConfig()
-        config = DecodeConfig(mode=mode, max_iters=base.max_iters,
-                              ls_grid=base.ls_grid, few_iter_cap=base.few_iter_cap)
+        config = replace(decode_config or DecodeConfig(), mode=mode)
 
         def run_dd(Y):
             res = decode_batch(model, H, schedule, Y, config, collect_traces=False)
@@ -213,12 +221,8 @@ def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
 
 
 def parity_noise_csv(rows, config: dict | None = None) -> str:
-    lines = ["# diffdec.report = parity-noise"]
-    for key in sorted(config or {}):
-        lines.append(f"# {key} = {config[key]}")
-    lines.append("sigma,mean_parity_errors,std_parity_errors")
-    lines += [f"{repr(s)},{repr(m)},{repr(d)}" for s, m, d in rows]
-    return "\n".join(lines) + "\n"
+    return artifact("parity-noise", config, "sigma,mean_parity_errors,std_parity_errors",
+                    [f"{repr(s)},{repr(m)},{repr(d)}" for s, m, d in rows])
 
 
 def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
@@ -240,12 +244,8 @@ def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
 
 
 def lambda_histogram_csv(grid, counts, config: dict | None = None) -> str:
-    lines = ["# diffdec.report = lambda-hist"]
-    for key in sorted(config or {}):
-        lines.append(f"# {key} = {config[key]}")
-    lines.append("step_size,count")
-    lines += [f"{repr(float(g))},{int(c)}" for g, c in zip(grid, counts)]
-    return "\n".join(lines) + "\n"
+    return artifact("lambda-hist", config, "step_size,count",
+                    [f"{repr(float(g))},{int(c)}" for g, c in zip(grid, counts)])
 
 
 def forward_process_trace(schedule: NoiseSchedule, trajectories: int,
@@ -274,9 +274,5 @@ def forward_process_trace(schedule: NoiseSchedule, trajectories: int,
 
 
 def forward_trace_csv(rows, config: dict | None = None) -> str:
-    lines = ["# diffdec.report = forward-trace"]
-    for key in sorted(config or {}):
-        lines.append(f"# {key} = {config[key]}")
-    lines.append("trajectory,t,x0,x1,x2")
-    lines += [f"{tr},{t},{repr(a)},{repr(b)},{repr(c)}" for tr, t, a, b, c in rows]
-    return "\n".join(lines) + "\n"
+    return artifact("forward-trace", config, "trajectory,t,x0,x1,x2",
+                    [f"{tr},{t},{repr(a)},{repr(b)},{repr(c)}" for tr, t, a, b, c in rows])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import ParityCheckMatrix, hard_decision
+from .gf2 import ParityCheckMatrix, hard_decision, single_word
 
 LLR_CLAMP = 30.0
 _ATANH_EPS = 1e-15
@@ -27,14 +27,15 @@ class TannerGraph:
         self.edge_row = rows
         self.edge_col = cols
         self.num_edges = len(rows)
-        m, n = H.matrix.shape
         row_deg = H.matrix.sum(axis=1)
         self.row_ptr = np.concatenate([[0], np.cumsum(row_deg)]).astype(np.int64)
         self.col_order = np.lexsort((rows, cols))  # edges sorted by (col, row)
         col_deg = H.matrix.sum(axis=0)
-        self.col_ptr = np.concatenate([[0], np.cumsum(col_deg)]).astype(np.int64)
-        self.check_neighbors = tuple(np.flatnonzero(H.matrix[r]) for r in range(m))
-        self.var_neighbors = tuple(np.flatnonzero(H.matrix[:, c]) for c in range(n))
+        # reduceat cannot sum an empty segment, so the per-bit sums run over
+        # the bits that sit in some check; a slice when that is every bit
+        checked = np.flatnonzero(col_deg)
+        self.col_start = (np.cumsum(col_deg) - col_deg)[checked].astype(np.int64)
+        self.checked = slice(None) if len(checked) == H.n else checked
 
 
 def check_update(messages: np.ndarray, graph: TannerGraph) -> np.ndarray:
@@ -49,11 +50,6 @@ def check_update(messages: np.ndarray, graph: TannerGraph) -> np.ndarray:
     prod = np.exp(ex_mag) * np.where(ex_neg % 2 == 1, -1.0, 1.0)
     out = 2.0 * np.arctanh(np.clip(prod, -1.0 + _ATANH_EPS, 1.0 - _ATANH_EPS))
     return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
-
-
-def _posteriors(llr: np.ndarray, m_cv: np.ndarray, graph: TannerGraph) -> np.ndarray:
-    per_var = np.add.reduceat(m_cv[..., graph.col_order], graph.col_ptr[:-1], axis=-1)
-    return llr + per_var
 
 
 def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int = 50,
@@ -76,7 +72,8 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
         if alive.size == 0:
             break
         m_cv = check_update(m_vc, graph)
-        post = _posteriors(llr_alive, m_cv, graph)
+        post = llr_alive.copy()
+        post[:, graph.checked] += np.add.reduceat(m_cv[:, graph.col_order], graph.col_start, axis=-1)
         m_vc = post[:, graph.edge_col] - m_cv
         hard = hard_decision(post)
         ok = H.syndrome_bits(hard).sum(axis=-1) == 0
@@ -92,22 +89,5 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
 
 def bp_decode(H: ParityCheckMatrix, y: np.ndarray, sigma: float, max_iters: int = 50):
     """Decode one word; returns (bits, converged, iters)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (H.n,):
-        raise ValueError(f"expected a length-{H.n} word, got {y.shape}")
-    bits, done, iters, _ = bp_decode_batch(H, y[None, :], sigma, max_iters)
+    bits, done, iters, _ = bp_decode_batch(H, single_word(y, H.n), sigma, max_iters)
     return bits[0], bool(done[0]), int(iters[0])
-
-
-def bp_posteriors(H: ParityCheckMatrix, y: np.ndarray, sigma: float, iters: int) -> np.ndarray:
-    """Posterior LLRs after exactly ``iters`` flooding iterations (no exit)."""
-    graph = TannerGraph(H)
-    llr = np.clip(2.0 * np.asarray(y, dtype=np.float64)[None, :] / sigma**2,
-                  -LLR_CLAMP, LLR_CLAMP)
-    m_vc = llr[:, graph.edge_col]
-    post = llr.copy()
-    for _ in range(iters):
-        m_cv = check_update(m_vc, graph)
-        post = _posteriors(llr, m_cv, graph)
-        m_vc = post[:, graph.edge_col] - m_cv
-    return post[0]

@@ -11,6 +11,7 @@ byte for byte.  The default worker count can be set with the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import DECODER_KINDS, StopRule, forward_process_trace, forward_trace_csv, \
+from .bench import DECODER_KINDS, StopRule, artifact, forward_process_trace, forward_trace_csv, \
     lambda_histogram, lambda_histogram_csv, parity_noise_csv, parity_noise_study, run_ber
 from .channel import make_rng
 from .decoding import DecodeConfig, decode_batch
@@ -42,8 +43,10 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(parser: argparse.ArgumentParser, values: dict[str, str]) -> dict:
-    """Map config-file strings onto parser defaults with matching types."""
+def _preload(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
+    """Install config-file strings as parser defaults with matching types.
+
+    A required flag that the file supplies is no longer required."""
     out = {}
     for action in parser._actions:  # argparse has no public default registry
         if action.dest in values:
@@ -54,7 +57,18 @@ def _coerce(parser: argparse.ArgumentParser, values: dict[str, str]) -> dict:
                 out[action.dest] = raw.lower() in ("1", "true", "yes")
             else:
                 out[action.dest] = raw
-    return out
+            action.required = False
+    parser.set_defaults(**out)
+
+
+# Parsed values that are not settings of the run: replaying an artifact must
+# not overwrite it (out, report) nor pin its input file (infile).
+_NOT_ECHOED = frozenset({"func", "out", "report", "infile"})
+
+
+def _echo(args) -> dict:
+    """The run's effective settings: every parsed flag except _NOT_ECHOED."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 def _add_code_args(p: argparse.ArgumentParser):
@@ -94,16 +108,19 @@ def _read_words(path: str, n: int) -> np.ndarray:
         vals = [float(tok) for tok in line.split()]
         if len(vals) != n:
             raise ValueError(f"line {ln}: expected {n} soft values, got {len(vals)}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"line {ln}: soft values must be finite (found inf or nan)")
         rows.append(vals)
     if not rows:
         raise ValueError("no input words")
     return np.asarray(rows, dtype=np.float64)
 
 
-def _schedule_from_checkpoint(meta: dict[str, str], num_checks: int) -> NoiseSchedule:
-    if "betas" in meta:
-        return NoiseSchedule(_float_list(meta["betas"]))
-    return NoiseSchedule.constant(0.01, num_checks)
+def _schedule_from_checkpoint(meta: dict[str, str]) -> NoiseSchedule:
+    if "betas" not in meta:
+        raise ValueError("checkpoint metadata has no 'betas' key; cannot rebuild "
+                         "the noise schedule it was trained with")
+    return NoiseSchedule(_float_list(meta["betas"]))
 
 
 def _bits_str(bits: np.ndarray) -> str:
@@ -131,14 +148,9 @@ def _cmd_train(args) -> int:
         "betas": ",".join(repr(float(b)) for b in schedule.betas),
     }
     save_checkpoint(model, args.out, metadata)
-    echo = {"command": "train", **{k: getattr(args, k) for k in (
-        "code", "alist", "epochs", "batches_per_epoch", "batch_size", "lr0", "lr_min",
-        "seed", "beta", "backbone", "embed_dim", "layers", "hidden_mult")}}
-    lines = ["# diffdec.report = train"]
-    lines += [f"# {k} = {echo[k]}" for k in sorted(echo)]
-    lines.append("epoch,mean_loss")
-    lines += [f"{i},{repr(loss)}" for i, loss in enumerate(report.epoch_losses)]
-    _write(args.report, "\n".join(lines) + "\n")
+    _write(args.report, artifact(
+        "train", _echo(args), "epoch,mean_loss",
+        [f"{i},{repr(loss)}" for i, loss in enumerate(report.epoch_losses)]))
     print(f"trained {code_id} ({config.backbone}) for {config.epochs} epochs; "
           f"final loss {report.final_loss}; wall {report.wall_seconds:.1f}s; "
           f"checkpoint {args.out}", file=sys.stderr)
@@ -148,33 +160,29 @@ def _cmd_train(args) -> int:
 def _cmd_decode(args) -> int:
     code, _ = _resolve_code(args)
     ckpt = load_checkpoint(args.checkpoint, code=code)
-    schedule = _schedule_from_checkpoint(ckpt.metadata, code.n - code.k)
+    schedule = _schedule_from_checkpoint(ckpt.metadata)
     mode = "line_search" if args.mode == "ls" else "regular"
     config = DecodeConfig(mode=mode,
                           max_iters=args.max_iters or None,
-                          ls_grid=(args.ls_lo, args.ls_hi, args.ls_count),
-                          few_iter_cap=args.few_iter_cap or None)
+                          ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
     Y = _read_words(args.infile, code.n)
     result = decode_batch(ckpt.model, code, schedule, Y, config)
-    echo = {"command": "decode", "checkpoint": args.checkpoint, "mode": args.mode,
-            "ls_lo": args.ls_lo, "ls_hi": args.ls_hi, "ls_count": args.ls_count,
-            "max_iters": args.max_iters, "few_iter_cap": args.few_iter_cap,
-            "code": args.code, "alist": args.alist}
-    lines = ["# diffdec.report = decode"]
-    lines += [f"# {k} = {echo[k]}" for k in sorted(echo)]
-    lines.append("word,row,iteration,parity_errors,step_size,weight_after,bits,converged,iters_used")
+    rows = []
     for w, outcome in enumerate(result.outcomes()):
         for i, step in enumerate(outcome.trace, 1):
-            lines.append(f"{w},step,{i},{step.parity_errors},{repr(step.step_size)},"
-                         f"{step.weight_after},,,")
-        lines.append(f"{w},result,,,,,{_bits_str(outcome.bits)},"
-                     f"{outcome.converged},{outcome.iters_used}")
-    _write(args.out, "\n".join(lines) + "\n")
+            rows.append(f"{w},step,{i},{step.parity_errors},{repr(step.step_size)},"
+                        f"{step.weight_after},,,")
+        rows.append(f"{w},result,,,,,{_bits_str(outcome.bits)},"
+                    f"{outcome.converged},{outcome.iters_used}")
+    _write(args.out, artifact(
+        "decode", _echo(args),
+        "word,row,iteration,parity_errors,step_size,weight_after,bits,converged,iters_used",
+        rows))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    code, code_id = _resolve_code(args)
+    code, _ = _resolve_code(args)
     stop = StopRule(args.min_words, args.min_error_frames, args.max_words)
     model = schedule = None
     if args.decoder in ("ddecc", "ddecc-ls"):
@@ -182,23 +190,14 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"decoder {args.decoder!r} requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, code=code)
         model = ckpt.model
-        schedule = _schedule_from_checkpoint(ckpt.metadata, code.n - code.k)
+        schedule = _schedule_from_checkpoint(ckpt.metadata)
     decode_config = DecodeConfig(ls_grid=(args.ls_lo, args.ls_hi, args.ls_count),
-                                 max_iters=args.max_iters or None,
-                                 few_iter_cap=args.few_iter_cap or None)
-    echo = {"command": "bench", "code": args.code, "alist": args.alist,
-            "decoder": args.decoder, "ebn0": args.ebn0, "seed": args.seed,
-            "min_words": args.min_words, "min_error_frames": args.min_error_frames,
-            "max_words": args.max_words, "workers": args.workers,
-            "bp_iters": args.bp_iters, "checkpoint": args.checkpoint,
-            "ls_lo": args.ls_lo, "ls_hi": args.ls_hi, "ls_count": args.ls_count,
-            "max_iters": args.max_iters, "few_iter_cap": args.few_iter_cap,
-            "batch_size": args.batch_size}
+                                 max_iters=args.max_iters or None)
     report = run_ber(args.decoder, code, _float_list(args.ebn0), stop=stop,
                      seed=args.seed, workers=args.workers, model=model,
                      schedule=schedule, decode_config=decode_config,
                      bp_iters=args.bp_iters, batch_size=args.batch_size,
-                     config_echo=echo)
+                     config_echo=_echo(args))
     _write(args.out, report.to_csv())
     return 0
 
@@ -208,40 +207,30 @@ def _cmd_oracle(args) -> int:
     G = systematic_generator(code)
     Y = _read_words(args.infile, code.n)
     bits = ml_decode_batch(code, G, Y)
-    echo = {"command": "oracle", "code": args.code, "alist": args.alist}
-    lines = ["# diffdec.report = oracle"]
-    lines += [f"# {k} = {echo[k]}" for k in sorted(echo)]
-    lines.append("word,bits")
-    lines += [f"{w},{_bits_str(row)}" for w, row in enumerate(bits)]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, artifact("oracle", _echo(args), "word,bits",
+                              [f"{w},{_bits_str(row)}" for w, row in enumerate(bits)]))
     return 0
 
 
 def _cmd_study(args) -> int:
-    code, code_id = _resolve_code(args)
-    echo = {"command": "study", "kind": args.kind, "code": args.code,
-            "alist": args.alist, "seed": args.seed, "samples": args.samples}
+    code, _ = _resolve_code(args)
+    echo = _echo(args)
     if args.kind == "parity-noise":
         rows = parity_noise_study(code, _float_list(args.sigmas), args.samples, args.seed)
-        echo["sigmas"] = args.sigmas
         _write(args.out, parity_noise_csv(rows, echo))
     elif args.kind == "lambda-hist":
         if not args.checkpoint:
             raise ValueError("lambda-hist requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, code=code)
-        schedule = _schedule_from_checkpoint(ckpt.metadata, code.n - code.k)
+        schedule = _schedule_from_checkpoint(ckpt.metadata)
         config = DecodeConfig(ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
         grid, counts = lambda_histogram(ckpt.model, code, schedule, args.ebn0_point,
                                         args.samples, args.seed, config)
-        echo.update({"checkpoint": args.checkpoint, "ebn0_point": args.ebn0_point,
-                     "ls_lo": args.ls_lo, "ls_hi": args.ls_hi, "ls_count": args.ls_count})
         _write(args.out, lambda_histogram_csv(grid, counts, echo))
     else:  # forward-trace
         schedule = NoiseSchedule.constant(args.beta, args.steps)
         rows = forward_process_trace(schedule, args.trajectories,
                                      make_rng(args.seed, stream=31), steps=args.steps)
-        echo.update({"beta": args.beta, "steps": args.steps,
-                     "trajectories": args.trajectories})
         _write(args.out, forward_trace_csv(rows, echo))
     return 0
 
@@ -285,7 +274,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ls-hi", type=float, default=20.0)
     p.add_argument("--ls-count", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
-    p.add_argument("--few-iter-cap", type=int, default=0, help="0 = unlimited")
     p.add_argument("--in", dest="infile", default="-",
                    help="input words, one per line, space-separated reals")
     p.add_argument("--out", default="-")
@@ -307,7 +295,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ls-hi", type=float, default=20.0)
     p.add_argument("--ls-count", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
-    p.add_argument("--few-iter-cap", type=int, default=0, help="0 = unlimited")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
 
@@ -356,7 +343,7 @@ def main(argv=None) -> int:
                                  f"(got {command!r})")
             if not rest:
                 rest = [command]
-            subparsers[command].set_defaults(**_coerce(subparsers[command], file_values))
+            _preload(subparsers[command], file_values)
             args = parser.parse_args(rest)
         else:
             args = parser.parse_args(argv)

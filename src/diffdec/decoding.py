@@ -1,11 +1,15 @@
 """Iterative reverse-diffusion decoding.
 
-The loop (at most n-k passes): read the parity-error count gamma of the
-current word; exit on gamma = 0; otherwise predict the multiplicative noise
-with the conditioned denoiser, convert it to additive noise, pick a step
-multiplier (fixed 1 in regular mode, syndrome-minimizing grid search in
-line-search mode) and take the reverse step scaled by the posterior noise
-coefficient at index gamma.  Non-convergence is a normal outcome.
+The loop (at most n-k passes, or ``max_iters`` if smaller): read the
+parity-error count gamma of the current word; exit on gamma = 0; otherwise
+predict the sign flips with the conditioned denoiser, turn them into the
+additive noise estimate eps_hat (``diffusion.mul_to_add_noise``) and take
+the reverse step x <- x - lam * c(gamma) * eps_hat, with c the posterior
+noise coefficient (``diffusion.noise_coefficients``).  The step multiplier
+lam is the grid value whose candidate has the smallest syndrome weight,
+smallest lam on ties.  Line-search mode uses the grid ``ls_grid``; regular
+mode is the one-point grid {1}.  Non-finite input is rejected;
+non-convergence is a normal outcome.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, noise_coefficients
-from .gf2 import ParityCheckMatrix, hard_decision, syndrome_weights
+from .diffusion import NoiseSchedule, mul_to_add_noise, noise_coefficients
+from .gf2 import ParityCheckMatrix, hard_decision, single_word, syndrome_weights
 from .nn import DenoiserModel
 
 MODES = ("regular", "line_search")
@@ -26,7 +30,6 @@ class DecodeConfig:
     mode: str = "line_search"
     max_iters: int | None = None  # defaults to n-k; never exceeds it
     ls_grid: tuple[float, float, int] = (1.0, 20.0, 20)
-    few_iter_cap: int | None = None  # hard cap for few-iteration studies
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -36,12 +39,13 @@ class DecodeConfig:
             raise ValueError(f"need 0 < lo <= hi and count >= 1, got {self.ls_grid}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.few_iter_cap is not None and self.few_iter_cap < 1:
-            raise ValueError("few_iter_cap must be >= 1")
 
     def grid(self) -> np.ndarray:
+        """Step multipliers to search: [1.0] in regular mode, else ls_grid."""
+        if self.mode == "regular":
+            return np.ones(1)
         lo, hi, count = self.ls_grid
-        return np.linspace(lo, hi, count)
+        return np.linspace(lo, hi, int(count))
 
 
 @dataclass(frozen=True)
@@ -59,31 +63,19 @@ class DecodeOutcome:
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class IterationStats:
-    mean: float
-    std: float
-    words: int
-    converged: int
-
-
 @dataclass
 class BatchResult:
     bits: np.ndarray  # (B, n)
     converged: np.ndarray  # (B,) bool
     iters: np.ndarray  # (B,) int
     traces: list[list[TraceStep]] = field(default_factory=list)
-    step_sizes: list[float] = field(default_factory=list)  # chosen lambdas, LS mode
+    step_sizes: list[float] = field(default_factory=list)  # chosen lambda of every step
 
     def outcomes(self) -> list[DecodeOutcome]:
         traces = self.traces or [[] for _ in range(len(self.bits))]
         return [DecodeOutcome(self.bits[i], bool(self.converged[i]),
                               int(self.iters[i]), tuple(traces[i]))
                 for i in range(len(self.bits))]
-
-    def stats(self) -> IterationStats:
-        return IterationStats(float(self.iters.mean()), float(self.iters.std()),
-                              len(self.iters), int(self.converged.sum()))
 
 
 def as_denoiser(model, H: ParityCheckMatrix):
@@ -100,7 +92,11 @@ def as_denoiser(model, H: ParityCheckMatrix):
 
 def _ls_pick(H: ParityCheckMatrix, Y: np.ndarray, eps_hat: np.ndarray,
              coeff: np.ndarray, grid: np.ndarray):
-    """Evaluate all step multipliers; smallest lambda wins ties."""
+    """The reverse step Y - lam*coeff*eps_hat for every lam on the grid.
+
+    Returns the chosen lam, the stepped words and their syndrome weights;
+    the smallest weight wins and the smallest lam breaks ties.
+    """
     cand = Y[:, None, :] - (grid[None, :, None] * coeff[:, None, None]) * eps_hat[:, None, :]
     weights = H.syndrome_bits(hard_decision(cand)).sum(axis=-1)  # (B, C)
     pick = np.argmin(weights, axis=1)  # first minimum = smallest lambda
@@ -110,15 +106,17 @@ def _ls_pick(H: ParityCheckMatrix, Y: np.ndarray, eps_hat: np.ndarray,
 
 def line_search(H: ParityCheckMatrix, y: np.ndarray, eps_hat: np.ndarray, gamma: int,
                 schedule: NoiseSchedule, grid) -> float:
-    """Step multiplier minimizing the post-step syndrome weight on the grid."""
+    """Step multiplier minimizing the post-step syndrome weight on the grid.
+
+    ``grid`` is an array of multipliers or an ``ls_grid`` tuple (lo, hi, count).
+    """
     if gamma < 1:
         raise ValueError("line search needs a non-zero parity-error count")
     if isinstance(grid, tuple) and len(grid) == 3:
-        grid = np.linspace(grid[0], grid[1], int(grid[2]))
-    grid = np.asarray(grid, dtype=np.float64)
-    coeff = noise_coefficients(schedule, np.array([gamma]))
-    lam, _, _ = _ls_pick(H, np.asarray(y, dtype=np.float64)[None, :],
-                         np.asarray(eps_hat, dtype=np.float64)[None, :], coeff, grid)
+        grid = DecodeConfig(ls_grid=grid).grid()
+    lam, _, _ = _ls_pick(H, single_word(y, H.n), single_word(eps_hat, H.n),
+                         noise_coefficients(schedule, np.array([gamma])),
+                         np.asarray(grid, dtype=np.float64))
     return float(lam[0])
 
 
@@ -133,10 +131,10 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
     Y = np.array(Y, dtype=np.float64, copy=True)
     if Y.ndim != 2 or Y.shape[1] != H.n:
         raise ValueError(f"expected (B, {H.n}) words, got {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise ValueError("received words must be finite (found inf or nan)")
     B = len(Y)
     limit = min(config.max_iters or num_checks, num_checks)
-    if config.few_iter_cap is not None:
-        limit = min(limit, config.few_iter_cap)
     grid = config.grid()
 
     iters = np.zeros(B, dtype=np.int64)
@@ -151,19 +149,13 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
         gamma = gamma[gamma > 0]
         if alive.size == 0:
             break
-        logits = denoiser(Y[alive], gamma)
-        sign_y = np.where(Y[alive] < 0, -1.0, 1.0)
-        sign_eps = np.where(logits > 0, -1.0, 1.0)  # logit > 0 means flip
-        eps_hat = Y[alive] - sign_eps * sign_y
+        Y_alive = Y[alive]
+        logits = denoiser(Y_alive, gamma)  # logit > 0 means the sign was flipped
+        eps_hat = mul_to_add_noise(Y_alive, np.where(logits > 0, -1.0, 1.0))
         coeff = noise_coefficients(schedule, gamma)
-        if config.mode == "line_search":
-            lam, Y_next, w_after = _ls_pick(H, Y[alive], eps_hat, coeff, grid)
-            step_sizes.extend(lam.tolist())
-        else:
-            lam = np.ones(alive.size)
-            Y_next = Y[alive] - coeff[:, None] * eps_hat
-            w_after = syndrome_weights(H, Y_next)
+        lam, Y_next, w_after = _ls_pick(H, Y_alive, eps_hat, coeff, grid)
         Y[alive] = Y_next
+        step_sizes.extend(lam.tolist())
         iters[alive] += 1
         if collect_traces:
             for j, word in enumerate(alive):
@@ -177,7 +169,4 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
 def decode(model, H: ParityCheckMatrix, schedule: NoiseSchedule, y: np.ndarray,
            config: DecodeConfig = DecodeConfig()) -> DecodeOutcome:
     """Decode a single received word."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (H.n,):
-        raise ValueError(f"expected a length-{H.n} word, got {y.shape}")
-    return decode_batch(model, H, schedule, y[None, :], config).outcomes()[0]
+    return decode_batch(model, H, schedule, single_word(y, H.n), config).outcomes()[0]

@@ -8,9 +8,12 @@ x_{t-1} given (x_t, x_0) is Gaussian with
     mean = bb/(bb+b) * x_t + b/(bb+b) * x_0 = x_t - sqrt(bb)*b/(bb+b) * eps
     var  = bb*b/(bb+b)
 
-(writing b = beta_t, bb = beta_bar_t).  The reverse decoding step removes a
-step-size-scaled multiple of the predicted additive noise using the mean's
-noise coefficient.
+(writing b = beta_t, bb = beta_bar_t).  ``noise_coefficients`` is the one
+formula for the mean's noise coefficient c(t) = sqrt(bb)*b/(bb+b), and
+``mul_to_add_noise`` the one rule turning a predicted sign flip into the
+additive noise estimate eps_hat.  The reverse step that combines them,
+x <- x - lam * c(t) * eps_hat, is taken by the decoder
+(:mod:`diffdec.decoding`), whose line search scores several lam at once.
 """
 
 from __future__ import annotations
@@ -87,13 +90,13 @@ def posterior_coefficients(t: int, schedule: NoiseSchedule) -> PosteriorCoeffici
     return PosteriorCoefficients(
         mean_xt_coeff=bb / denom,
         mean_x0_coeff=b / denom,
-        mean_noise_coeff=np.sqrt(bb) * b / denom,
+        mean_noise_coeff=float(noise_coefficients(schedule, t)),
         var=bb * b / denom,
     )
 
 
 def noise_coefficients(schedule: NoiseSchedule, t: np.ndarray) -> np.ndarray:
-    """Vectorized mean_noise_coeff for an array of 1-based steps."""
+    """The posterior mean's noise coefficient c(t) for 1-based steps t (any shape)."""
     t = np.asarray(t, dtype=np.int64)
     if ((t < 1) | (t > schedule.T)).any():
         raise ValueError(f"steps outside 1..{schedule.T}")
@@ -125,25 +128,12 @@ def forward_sample(x0: np.ndarray, t: int, schedule: NoiseSchedule,
 def mul_to_add_noise(y: np.ndarray, eps_tilde_pred: np.ndarray) -> np.ndarray:
     """Convert a multiplicative-noise prediction to additive noise.
 
-    eps_hat = y - sign(eps_tilde * y); the sign factor is the modulated
-    codeword estimate.  sign(0) := +1, matching the hard-decision rule.
+    eps_hat = y - sign(eps_tilde) * sign(y); the sign product is the
+    modulated codeword estimate.  sign(0) := +1 is taken per factor,
+    matching the hard-decision rule.
     """
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(eps_tilde_pred, dtype=np.float64)
     if y.shape != pred.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {pred.shape}")
-    signs = np.where(pred * y < 0, -1.0, 1.0)
-    return y - signs
-
-
-def reverse_step(x_t: np.ndarray, eps_hat: np.ndarray, t: int,
-                 schedule: NoiseSchedule, lam: float = 1.0) -> np.ndarray:
-    """One reverse update: x_{t-1} = x_t - lam * noise_coeff(t) * eps_hat.
-
-    lam = 1 is the plain posterior-mean step; the decoder's line search
-    scales it.
-    """
-    if lam <= 0:
-        raise ValueError(f"step multiplier must be positive, got {lam}")
-    coeff = posterior_coefficients(t, schedule).mean_noise_coeff
-    return np.asarray(x_t, dtype=np.float64) - lam * coeff * np.asarray(eps_hat, dtype=np.float64)
+    return y - np.where(pred < 0, -1.0, 1.0) * np.where(y < 0, -1.0, 1.0)

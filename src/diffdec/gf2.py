@@ -221,7 +221,7 @@ def encode(G: GeneratorMatrix, message) -> Codeword:
     msg = np.asarray(message, dtype=np.uint8)
     if msg.shape != (G.k,):
         raise ValueError(f"expected a length-{G.k} message, got shape {msg.shape}")
-    return Codeword((msg @ G.matrix) % 2)
+    return Codeword(encode_batch(G, msg[None, :])[0])
 
 
 def encode_batch(G: GeneratorMatrix, messages: np.ndarray) -> np.ndarray:
@@ -237,19 +237,19 @@ def hard_decision(y: np.ndarray) -> np.ndarray:
     return (np.asarray(y) < 0).astype(np.uint8)
 
 
+def single_word(y, n: int) -> np.ndarray:
+    """Check that ``y`` is one length-n real word; return it as a (1, n) batch."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"expected a length-{n} word, got shape {y.shape}")
+    return y[None, :]
+
+
 def syndrome(H: ParityCheckMatrix, y) -> Syndrome:
     """Syndrome of a real received vector: H bin(y) over GF(2)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (H.n,):
-        raise ValueError(f"expected a length-{H.n} vector, got shape {y.shape}")
-    bits = H.syndrome_bits(hard_decision(y))
+    bits = H.syndrome_bits(hard_decision(single_word(y, H.n)))[0]
     bits.setflags(write=False)
     return Syndrome(bits)
-
-
-def parity_error_count(s: Syndrome) -> int:
-    """Number of failed parity checks (syndrome weight)."""
-    return s.weight
 
 
 def syndrome_weights(H: ParityCheckMatrix, Y: np.ndarray) -> np.ndarray:
@@ -257,23 +257,19 @@ def syndrome_weights(H: ParityCheckMatrix, Y: np.ndarray) -> np.ndarray:
     return H.syndrome_bits(hard_decision(Y)).sum(axis=-1).astype(np.int64)
 
 
-def ml_decode(H: ParityCheckMatrix, G: GeneratorMatrix, y, sigma: float | None = None) -> Codeword:
-    """Brute-force maximum-likelihood decoding under AWGN.
+def ml_decode(H: ParityCheckMatrix, G: GeneratorMatrix, y) -> Codeword:
+    """Brute-force maximum-likelihood decoding of one word; see ml_decode_batch."""
+    return Codeword(ml_decode_batch(H, G, single_word(y, H.n))[0])
+
+
+def ml_decode_batch(H: ParityCheckMatrix, G: GeneratorMatrix, Y: np.ndarray) -> np.ndarray:
+    """Brute-force maximum-likelihood decoding of a (B, n) batch under AWGN.
 
     Maximizes the correlation <y, BPSK(x)> over all 2^k codewords, which is
-    the ML rule for every noise level; ``sigma`` is accepted for interface
-    symmetry but does not affect the decision.  Ties break toward the lowest
-    codeword index in enumeration order.
+    the ML rule for every noise level, so no sigma is needed.  Ties break
+    toward the lowest codeword index in enumeration order.  Returns (B, n)
+    bits.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (H.n,):
-        raise ValueError(f"expected a length-{H.n} vector, got shape {y.shape}")
-    return Codeword(ml_decode_batch(H, G, y[None, :])[0])
-
-
-def ml_decode_batch(H: ParityCheckMatrix, G: GeneratorMatrix, Y: np.ndarray,
-                    sigma: float | None = None) -> np.ndarray:
-    """Vectorized ML decoding of a (B, n) batch; returns (B, n) bits."""
     if G.k > 16:
         raise ValueError(f"brute-force ML limited to k <= 16, got k={G.k}")
     book = G.codebook()

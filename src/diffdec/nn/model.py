@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gf2 import ParityCheckMatrix, hard_decision
+from ..gf2 import ParityCheckMatrix, hard_decision, single_word
 from . import tensor as T
 from .tensor import Tensor
 
@@ -60,10 +60,7 @@ def attention_mask(H: np.ndarray) -> np.ndarray:
 
 def preprocess(y: np.ndarray, H: ParityCheckMatrix) -> tuple[np.ndarray, int]:
     """Map a received word to ([|y|, s(y)], parity-error count)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (H.n,):
-        raise ValueError(f"expected a length-{H.n} vector, got {y.shape}")
-    feats, e = preprocess_batch(y[None, :], H)
+    feats, e = preprocess_batch(single_word(y, H.n), H)
     return feats[0], int(e[0])
 
 
@@ -205,7 +202,3 @@ class DenoiserModel:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-
-def forward(model: DenoiserModel, features, e) -> Tensor:
-    return model.forward(features, e)

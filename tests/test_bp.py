@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode, bp_decode_batch, bp_posteriors, \
-    check_update
+from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode, bp_decode_batch, check_update
 from diffdec.channel import awgn_batch, bpsk, make_rng
-from diffdec.gf2 import Codeword, ParityCheckMatrix, encode_batch, ml_decode_batch
+from diffdec.gf2 import Codeword, ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome
 
 
 class TestTannerGraph:
@@ -14,10 +13,10 @@ class TestTannerGraph:
 
     def test_adjacency_is_exactly_the_support(self, ham74):
         g = TannerGraph(ham74)
-        for r, neigh in enumerate(g.check_neighbors):
-            assert np.array_equal(neigh, np.flatnonzero(ham74.matrix[r]))
-        for c, neigh in enumerate(g.var_neighbors):
-            assert np.array_equal(neigh, np.flatnonzero(ham74.matrix[:, c]))
+        for r in range(ham74.num_checks):
+            assert np.array_equal(g.edge_col[g.edge_row == r], np.flatnonzero(ham74.matrix[r]))
+        for c in range(ham74.n):
+            assert np.array_equal(g.edge_row[g.edge_col == c], np.flatnonzero(ham74.matrix[:, c]))
 
 
 class TestCheckUpdate:
@@ -82,7 +81,11 @@ class TestBpDecode:
         rng = make_rng(13)
         y = rng.normal(0, 1, 3)
         sigma = 0.8
-        post = bp_posteriors(rep31, y, sigma, iters=1)
+        # a codeword would exit before the first iteration
+        assert syndrome(rep31, y).weight > 0
+        _, _, iters, post = bp_decode_batch(rep31, y[None, :], sigma, max_iters=1)
+        assert iters[0] == 1
+        post = post[0]
         llr = 2 * y / sigma**2
         assert post[0] == pytest.approx(llr.sum(), rel=1e-9)
 
@@ -94,6 +97,24 @@ class TestBpDecode:
         bp_bits, _, _, _ = bp_decode_batch(rep31, Y, 0.9, max_iters=50)
         ml_bits = ml_decode_batch(rep31, rep31_gen, Y)
         assert np.array_equal(bp_bits, ml_bits)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 0, 0], [0, 1, 1, 0]],  # last bit unchecked, the bit before it has degree 1
+        [[1, 1, 1, 0], [0, 1, 1, 0]],  # last bit unchecked, the bit before it has degree 2
+        [[0, 1, 1, 1], [0, 0, 1, 1]],  # first bit unchecked
+        [[1, 0, 1, 0, 0], [0, 0, 1, 1, 0]],  # a middle bit and the last bit unchecked
+    ])
+    def test_one_iteration_posterior_sums_every_check_message(self, rows):
+        H = ParityCheckMatrix(rows)
+        g = TannerGraph(H)
+        y = np.array([[0.9, -0.3, 0.8, -0.7, 0.5][:H.n]])
+        _, _, iters, post = bp_decode_batch(H, y, 0.8, max_iters=1)
+        assert iters[0] == 1
+        llr = 2 * y / 0.8**2
+        m_cv = check_update(llr[:, g.edge_col], g)
+        incidence = np.zeros((g.num_edges, H.n))
+        incidence[np.arange(g.num_edges), g.edge_col] = 1.0
+        assert post == pytest.approx(llr + m_cv @ incidence, rel=1e-12, abs=1e-12)
 
     def test_sigma_validation(self, rep31):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import pytest
 
-from diffdec.cli import main, read_config_file
-from diffdec.nn import load_checkpoint
+from diffdec.cli import build_parser, main, read_config_file
+from diffdec.gf2 import builtin_code
+from diffdec.nn import ArchConfig, DenoiserModel, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *args) -> tuple[int, str]:
@@ -139,6 +140,25 @@ class TestDecodeCli:
         assert main(["decode", "--code", "hamming74", "--checkpoint",
                      str(rep31_ckpt), "--in", str(words)]) == 1
 
+    @pytest.mark.parametrize("line", ["inf -inf 1", "nan 1 1"])
+    def test_non_finite_word_reported_with_line_number(self, tmp_path, capsys, rep31_ckpt, line):
+        words = tmp_path / "w.txt"
+        words.write_text(f"1 1 1\n{line}\n")
+        assert main(["decode", "--code", "rep31", "--checkpoint", str(rep31_ckpt),
+                     "--in", str(words)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_checkpoint_without_schedule_is_an_error(self, tmp_path, capsys):
+        rep31 = builtin_code("rep31")
+        ckpt = tmp_path / "nobetas.ckpt"
+        save_checkpoint(DenoiserModel.create(rep31, ArchConfig("mlp", 8, 1)), ckpt,
+                        {"code": "rep31"})
+        words = tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n")
+        assert main(["decode", "--code", "rep31", "--checkpoint", str(ckpt),
+                     "--in", str(words)]) == 1
+        assert "betas" in capsys.readouterr().err
+
 
 class TestOracleCli:
     def test_ml_decisions(self, tmp_path, capsys):
@@ -148,6 +168,12 @@ class TestOracleCli:
         assert rc == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert rows == ["0,000", "1,111"]
+
+    def test_non_finite_word_reported_with_line_number(self, tmp_path, capsys):
+        words = tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n# comment\nnan 0.1 0.2\n")
+        assert main(["oracle", "--code", "rep31", "--in", str(words)]) == 1
+        assert "line 3" in capsys.readouterr().err
 
 
 class TestStudyCli:
@@ -170,6 +196,45 @@ class TestStudyCli:
 
     def test_lambda_hist_requires_checkpoint(self, capsys):
         assert main(["study", "--kind", "lambda-hist", "--code", "rep31"]) == 1
+
+    def test_forward_trace_rerun_from_artifact_is_byte_identical(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["study", "--kind", "forward-trace", "--beta", "0.05", "--steps", "4",
+                     "--trajectories", "3", "--seed", "8", "--out", str(out1)]) == 0
+        assert main(["study", "--config", str(out1), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestArtifactEcho:
+    def test_every_artifact_echoes_every_flag_of_its_subcommand(self, tmp_path, capsys):
+        ckpt, words = tmp_path / "m.ckpt", tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n")
+        small = ["--code", "rep31"]
+        runs = [
+            ("train", ["--epochs", "0", "--embed-dim", "8", "--layers", "1",
+                       "--out", str(ckpt), "--report"]),
+            ("decode", ["--checkpoint", str(ckpt), "--in", str(words), "--out"]),
+            ("bench", ["--decoder", "ml", "--ebn0", "4", "--min-words", "64",
+                       "--max-words", "64", "--batch-size", "64", "--out"]),
+            ("oracle", ["--in", str(words), "--out"]),
+            ("study", ["--kind", "parity-noise", "--samples", "50", "--out"]),
+            ("study", ["--kind", "lambda-hist", "--checkpoint", str(ckpt),
+                       "--samples", "50", "--out"]),
+            ("study", ["--kind", "forward-trace", "--steps", "2", "--trajectories", "2",
+                       "--out"]),
+        ]
+        _, subparsers = build_parser()
+        for i, (command, args) in enumerate(runs):
+            artifact = tmp_path / f"{i}.csv"
+            assert main([command, *small, *args, str(artifact)]) == 0
+            header = [l[2:].split(" = ", 1) for l in artifact.read_text().splitlines()
+                      if l.startswith("# ")]
+            echoed = dict(header)
+            flags = {a.dest for a in subparsers[command]._actions if a.option_strings} \
+                - {"help", "out", "report", "infile"}
+            assert flags <= set(echoed), (command, flags - set(echoed))
+            assert echoed["command"] == command
+            assert "out" not in echoed and "report" not in echoed
 
 
 class TestConfigParsing:

@@ -58,13 +58,24 @@ class TestDecodeBasics:
         res = decode_batch(model, ham74, SCHED74, Y, DecodeConfig(mode="regular", max_iters=50))
         assert (res.iters <= 3).all()
 
-    def test_few_iter_cap(self, ham74):
+    def test_max_iters_one_caps_line_search_batch(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=2)
         rng = make_rng(4)
         Y = rng.normal(0, 1, (100, 7))
         res = decode_batch(model, ham74, SCHED74, Y,
-                           DecodeConfig(mode="line_search", few_iter_cap=1))
+                           DecodeConfig(mode="line_search", max_iters=1))
         assert (res.iters <= 1).all()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, ham74, bad):
+        fn = lambda Y, gamma: np.zeros(Y.shape)
+        Y = np.ones((3, 7))
+        Y[1, 0] = bad
+        Y[1, 1] = -np.inf if bad == np.inf else 1.0
+        with pytest.raises(ValueError, match="finite"):
+            decode_batch(fn, ham74, SCHED74, Y)
+        with pytest.raises(ValueError, match="finite"):
+            decode(fn, ham74, SCHED74, Y[1])
 
     def test_single_word_matches_batch(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=5)
@@ -127,6 +138,7 @@ class TestLineSearch:
         assert np.array_equal(ls.iters, reg.iters)
         for a, b in zip(ls.traces, reg.traces):
             assert a == b
+        assert ls.step_sizes == reg.step_sizes == [1.0] * int(reg.iters.sum())
 
     def test_gamma_zero_rejected(self, ham74):
         with pytest.raises(ValueError):

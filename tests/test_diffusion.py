@@ -3,8 +3,10 @@ import pytest
 from scipy import stats
 
 from diffdec.channel import make_rng
+from diffdec.decoding import _ls_pick
 from diffdec.diffusion import (NoiseSchedule, forward_sample, mul_to_add_noise,
-                               posterior_coefficients, reverse_step)
+                               noise_coefficients, posterior_coefficients)
+from diffdec.gf2 import ParityCheckMatrix
 from oracles import gaussian_bayes_posterior
 
 CONST = NoiseSchedule.constant(0.01, 64)
@@ -111,6 +113,13 @@ class TestPosteriorCoefficients:
                 noise_form = x_t - c.mean_noise_coeff * eps
                 assert np.allclose(convex, noise_form, atol=1e-12)
 
+    def test_mean_noise_coeff_is_the_vectorized_formula(self):
+        for sched in SCHEDULES.values():
+            steps = np.arange(1, sched.T + 1)
+            batch = noise_coefficients(sched, steps)
+            for t in steps:
+                assert posterior_coefficients(t, sched).mean_noise_coeff == batch[t - 1]
+
 
 class TestMulToAdd:
     def test_worked_two_coordinate_example(self):
@@ -127,6 +136,20 @@ class TestMulToAdd:
         pred = rng.normal(0, 1, 50)
         out = mul_to_add_noise(y, pred)
         assert np.all(np.isin(np.round(y - out, 12), [-1.0, 1.0]))
+
+    def test_zero_received_value_counts_as_positive(self):
+        # sign(0) := +1 per factor: a predicted flip of a zero value
+        # estimates the codeword symbol -1, so the additive noise is +1
+        assert np.array_equal(mul_to_add_noise(np.array([0.0]), np.array([-1.0])), [1.0])
+
+
+def reverse_step(x, eps_hat, t, schedule, lam=1.0):
+    """The decoder's reverse step at a single step size: x - lam*c(t)*eps_hat."""
+    x = np.asarray(x, dtype=np.float64)
+    any_code = ParityCheckMatrix(np.ones((1, len(x)), dtype=np.uint8))
+    _, stepped, _ = _ls_pick(any_code, x[None, :], np.asarray(eps_hat, dtype=np.float64)[None, :],
+                             noise_coefficients(schedule, np.array([t])), np.array([lam]))
+    return stepped[0]
 
 
 class TestReverseStep:
