@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import ParityCheckMatrix, hard_decision, single_word
+from .gf2 import ParityCheckMatrix, hard_decision, single_word, word_batch
 
 LLR_CLAMP = 30.0
 _ATANH_EPS = 1e-15
@@ -58,7 +58,7 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     graph = graph or TannerGraph(H)
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = word_batch(Y, H.n)
     B = len(Y)
     llr = np.clip(2.0 * Y / sigma**2, -LLR_CLAMP, LLR_CLAMP)
     bits = hard_decision(llr)

@@ -84,6 +84,21 @@ def _resolve_code(args) -> tuple[ParityCheckMatrix, str]:
     return builtin_code(args.code), args.code
 
 
+def _add_decode_args(p: argparse.ArgumentParser, max_iters: bool = True):
+    """The line-search grid flags and, unless ``max_iters`` is False, the step cap."""
+    p.add_argument("--ls-lo", type=float, default=1.0)
+    p.add_argument("--ls-hi", type=float, default=20.0)
+    p.add_argument("--ls-count", type=int, default=20)
+    if max_iters:
+        p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
+
+
+def _decode_config(args, mode: str = "line_search") -> DecodeConfig:
+    """The DecodeConfig of the flags that _add_decode_args declared."""
+    return DecodeConfig(mode=mode, max_iters=getattr(args, "max_iters", 0) or None,
+                        ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -116,13 +131,6 @@ def _read_words(path: str, n: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _schedule_from_checkpoint(meta: dict[str, str]) -> NoiseSchedule:
-    if "betas" not in meta:
-        raise ValueError("checkpoint metadata has no 'betas' key; cannot rebuild "
-                         "the noise schedule it was trained with")
-    return NoiseSchedule(_float_list(meta["betas"]))
-
-
 def _bits_str(bits: np.ndarray) -> str:
     return "".join(str(int(b)) for b in bits)
 
@@ -145,9 +153,8 @@ def _cmd_train(args) -> int:
         "batches_per_epoch": str(config.batches_per_epoch),
         "batch_size": str(config.batch_size),
         "lr0": repr(config.lr0), "lr_min": repr(config.lr_min),
-        "betas": ",".join(repr(float(b)) for b in schedule.betas),
     }
-    save_checkpoint(model, args.out, metadata)
+    save_checkpoint(model, schedule, args.out, metadata)
     _write(args.report, artifact(
         "train", _echo(args), "epoch,mean_loss",
         [f"{i},{repr(loss)}" for i, loss in enumerate(report.epoch_losses)]))
@@ -160,13 +167,9 @@ def _cmd_train(args) -> int:
 def _cmd_decode(args) -> int:
     code, _ = _resolve_code(args)
     ckpt = load_checkpoint(args.checkpoint, code=code)
-    schedule = _schedule_from_checkpoint(ckpt.metadata)
-    mode = "line_search" if args.mode == "ls" else "regular"
-    config = DecodeConfig(mode=mode,
-                          max_iters=args.max_iters or None,
-                          ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
+    config = _decode_config(args, mode="line_search" if args.mode == "ls" else "regular")
     Y = _read_words(args.infile, code.n)
-    result = decode_batch(ckpt.model, code, schedule, Y, config)
+    result = decode_batch(ckpt.model, code, ckpt.schedule, Y, config)
     rows = []
     for w, outcome in enumerate(result.outcomes()):
         for i, step in enumerate(outcome.trace, 1):
@@ -189,13 +192,10 @@ def _cmd_bench(args) -> int:
         if not args.checkpoint:
             raise ValueError(f"decoder {args.decoder!r} requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, code=code)
-        model = ckpt.model
-        schedule = _schedule_from_checkpoint(ckpt.metadata)
-    decode_config = DecodeConfig(ls_grid=(args.ls_lo, args.ls_hi, args.ls_count),
-                                 max_iters=args.max_iters or None)
+        model, schedule = ckpt.model, ckpt.schedule
     report = run_ber(args.decoder, code, _float_list(args.ebn0), stop=stop,
                      seed=args.seed, workers=args.workers, model=model,
-                     schedule=schedule, decode_config=decode_config,
+                     schedule=schedule, decode_config=_decode_config(args),
                      bp_iters=args.bp_iters, batch_size=args.batch_size,
                      config_echo=_echo(args))
     _write(args.out, report.to_csv())
@@ -222,10 +222,8 @@ def _cmd_study(args) -> int:
         if not args.checkpoint:
             raise ValueError("lambda-hist requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, code=code)
-        schedule = _schedule_from_checkpoint(ckpt.metadata)
-        config = DecodeConfig(ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
-        grid, counts = lambda_histogram(ckpt.model, code, schedule, args.ebn0_point,
-                                        args.samples, args.seed, config)
+        grid, counts = lambda_histogram(ckpt.model, code, ckpt.schedule, args.ebn0_point,
+                                        args.samples, args.seed, _decode_config(args))
         _write(args.out, lambda_histogram_csv(grid, counts, echo))
     else:  # forward-trace
         schedule = NoiseSchedule.constant(args.beta, args.steps)
@@ -270,10 +268,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_code_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", default="ls", choices=("regular", "ls"))
-    p.add_argument("--ls-lo", type=float, default=1.0)
-    p.add_argument("--ls-hi", type=float, default=20.0)
-    p.add_argument("--ls-count", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
+    _add_decode_args(p)
     p.add_argument("--in", dest="infile", default="-",
                    help="input words, one per line, space-separated reals")
     p.add_argument("--out", default="-")
@@ -291,10 +286,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--checkpoint", default="")
     p.add_argument("--bp-iters", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--ls-lo", type=float, default=1.0)
-    p.add_argument("--ls-hi", type=float, default=20.0)
-    p.add_argument("--ls-count", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
+    _add_decode_args(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
 
@@ -313,9 +305,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default="")
     p.add_argument("--ebn0-point", type=float, default=4.0)
-    p.add_argument("--ls-lo", type=float, default=1.0)
-    p.add_argument("--ls-hi", type=float, default=20.0)
-    p.add_argument("--ls-count", type=int, default=20)
+    _add_decode_args(p, max_iters=False)
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--trajectories", type=int, default=32)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import NoiseSchedule, mul_to_add_noise, noise_coefficients
-from .gf2 import ParityCheckMatrix, hard_decision, single_word, syndrome_weights
+from .gf2 import ParityCheckMatrix, hard_decision, single_word, syndrome_weights, word_batch
 from .nn import DenoiserModel
 
 MODES = ("regular", "line_search")
@@ -81,10 +81,10 @@ class BatchResult:
 def as_denoiser(model, H: ParityCheckMatrix):
     """Accept a DenoiserModel or any callable (Y, gamma) -> logits."""
     if isinstance(model, DenoiserModel):
-        if (model.n, model.k) != (H.n, H.k):
-            raise ValueError(
-                f"model is bound to ({model.n},{model.k}), code is ({H.n},{H.k})")
-        return lambda Y, gamma: model.denoise(Y, H, gamma)
+        if not np.array_equal(model.code.matrix, H.matrix):
+            raise ValueError(f"model is bound to another parity-check matrix "
+                             f"({model.code!r}) than the code given ({H!r})")
+        return model.denoise
     if callable(model):
         return model
     raise TypeError(f"expected DenoiserModel or callable, got {type(model)!r}")
@@ -108,12 +108,10 @@ def line_search(H: ParityCheckMatrix, y: np.ndarray, eps_hat: np.ndarray, gamma:
                 schedule: NoiseSchedule, grid) -> float:
     """Step multiplier minimizing the post-step syndrome weight on the grid.
 
-    ``grid`` is an array of multipliers or an ``ls_grid`` tuple (lo, hi, count).
+    ``grid`` is a sequence of step multipliers, such as ``DecodeConfig.grid()``.
     """
     if gamma < 1:
         raise ValueError("line search needs a non-zero parity-error count")
-    if isinstance(grid, tuple) and len(grid) == 3:
-        grid = DecodeConfig(ls_grid=grid).grid()
     lam, _, _ = _ls_pick(H, single_word(y, H.n), single_word(eps_hat, H.n),
                          noise_coefficients(schedule, np.array([gamma])),
                          np.asarray(grid, dtype=np.float64))
@@ -128,11 +126,7 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
     if schedule.T < num_checks:
         raise ValueError(f"schedule has T={schedule.T} < n-k={num_checks}")
     denoiser = as_denoiser(model, H)
-    Y = np.array(Y, dtype=np.float64, copy=True)
-    if Y.ndim != 2 or Y.shape[1] != H.n:
-        raise ValueError(f"expected (B, {H.n}) words, got {Y.shape}")
-    if not np.isfinite(Y).all():
-        raise ValueError("received words must be finite (found inf or nan)")
+    Y = word_batch(Y, H.n).copy()  # stepped in place below
     B = len(Y)
     limit = min(config.max_iters or num_checks, num_checks)
     grid = config.grid()

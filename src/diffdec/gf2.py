@@ -31,12 +31,13 @@ class RankDeficiencyError(ValueError):
 
 
 def _as_bit_matrix(rows) -> np.ndarray:
-    mat = np.asarray(rows, dtype=np.uint8)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D bit matrix, got shape {mat.shape}")
-    if not np.isin(mat, (0, 1)).all():
+    raw = np.asarray(rows)
+    if raw.ndim != 2:
+        raise ValueError(f"expected a 2-D bit matrix, got shape {raw.shape}")
+    # checked before the cast, which would truncate 0.5 to 0 and wrap 257 to 1
+    if not np.isin(raw, (0, 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
-    return mat
+    return raw.astype(np.uint8)
 
 
 def _row_ints(mat: np.ndarray) -> list[int]:
@@ -237,12 +238,22 @@ def hard_decision(y: np.ndarray) -> np.ndarray:
     return (np.asarray(y) < 0).astype(np.uint8)
 
 
+def word_batch(Y, n: int) -> np.ndarray:
+    """Check that ``Y`` is a (B, n) batch of finite reals; return it as float64, uncopied."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[1] != n:
+        raise ValueError(f"expected (B, {n}) words, got shape {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise ValueError("received words must be finite (found inf or nan)")
+    return Y
+
+
 def single_word(y, n: int) -> np.ndarray:
-    """Check that ``y`` is one length-n real word; return it as a (1, n) batch."""
+    """Check that ``y`` is one finite length-n real word; return it as a (1, n) batch."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError(f"expected a length-{n} word, got shape {y.shape}")
-    return y[None, :]
+    return word_batch(y[None, :], n)
 
 
 def syndrome(H: ParityCheckMatrix, y) -> Syndrome:
@@ -274,7 +285,7 @@ def ml_decode_batch(H: ParityCheckMatrix, G: GeneratorMatrix, Y: np.ndarray) -> 
         raise ValueError(f"brute-force ML limited to k <= 16, got k={G.k}")
     book = G.codebook()
     signs = 1.0 - 2.0 * book.astype(np.float64)  # (2^k, n)
-    scores = np.asarray(Y, dtype=np.float64) @ signs.T  # (B, 2^k)
+    scores = word_batch(Y, H.n) @ signs.T  # (B, 2^k)
     best = np.argmax(scores, axis=1)  # first max = lowest index
     return book[best]
 

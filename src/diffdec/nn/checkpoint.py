@@ -1,18 +1,22 @@
-"""Binary model checkpoints.
+"""Binary model checkpoints: the parameters, the parity-check matrix H the
+model is bound to and the noise schedule it was trained with.
 
 Layout (all integers little-endian):
 
     8 bytes   magic  b"DFDCKPT1"
-    u32       format version (currently 1)
+    u32       format version (currently 2)
     u32       length of the config block
-    ...       config block: utf-8 "key = value" lines (arch, code dims,
-              training metadata such as seed/epochs/schedule betas)
+    ...       config block: utf-8 "key = value" lines (arch, plus
+              ``meta.``-prefixed training metadata such as seed/epochs)
     u32       number of arrays
     per array u16 name length | name utf-8 | u8 rank | u32 dims... |
               raw float64 little-endian values
     u32       CRC32 of everything above
 
-A round trip reproduces forward outputs bit-exactly on the same platform.
+The arrays are the parameters in name order, then ``code.H`` (0/1 entries)
+and ``schedule.betas``.  Version-1 files, which recorded only (n, k), are
+rejected.  A round trip reproduces forward outputs bit-exactly on the same
+platform.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..diffusion import NoiseSchedule
 from ..gf2 import ParityCheckMatrix
 from .model import ArchConfig, DenoiserModel
 from .tensor import Tensor
 
 MAGIC = b"DFDCKPT1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -37,10 +42,11 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A loaded checkpoint: the rebuilt model plus its metadata strings."""
+    """A loaded checkpoint: the rebuilt model, its schedule and its metadata strings."""
 
     version: int
     model: DenoiserModel
+    schedule: NoiseSchedule
     metadata: dict[str, str]
 
 
@@ -50,16 +56,15 @@ def _config_block(model: DenoiserModel, metadata: dict | None) -> str:
         f"embed_dim = {model.arch.embed_dim}",
         f"layers = {model.arch.layers}",
         f"hidden_mult = {model.arch.hidden_mult}",
-        f"n = {model.n}",
-        f"k = {model.k}",
     ]
     for key in sorted(metadata or {}):
         lines.append(f"meta.{key} = {metadata[key]}")
     return "\n".join(lines) + "\n"
 
 
-def save_checkpoint(model: DenoiserModel, path, metadata: dict | None = None) -> None:
-    """Write the model (and optional training metadata) to ``path``."""
+def save_checkpoint(model: DenoiserModel, schedule: NoiseSchedule, path,
+                    metadata: dict | None = None) -> None:
+    """Write the model, its code and schedule (and optional metadata) to ``path``."""
     chunks = [MAGIC, struct.pack("<I", VERSION)]
     config = _config_block(model, metadata).encode()
     chunks.append(struct.pack("<I", len(config)))
@@ -67,8 +72,7 @@ def save_checkpoint(model: DenoiserModel, path, metadata: dict | None = None) ->
 
     arrays: list[tuple[str, np.ndarray]] = [
         (name, model.params[name].data) for name in sorted(model.params)]
-    if model.mask is not None:
-        arrays.append(("attention.mask", model.mask.astype(np.float64)))
+    arrays += [("code.H", model.code.matrix), ("schedule.betas", schedule.betas)]
     chunks.append(struct.pack("<I", len(arrays)))
     for name, arr in arrays:
         blob = name.encode()
@@ -84,7 +88,7 @@ def save_checkpoint(model: DenoiserModel, path, metadata: dict | None = None) ->
 
 
 def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
-    """Read a checkpoint; optionally validate it against a code's (n, k)."""
+    """Read a checkpoint; optionally require it to be bound to ``code``'s matrix."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
@@ -104,6 +108,11 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
         return out
 
     (version,) = struct.unpack("<I", take(4))
+    if version == 1:
+        raise CheckpointError(
+            "checkpoint format version 1 records only the code's (n, k), not its "
+            "parity-check matrix and schedule; rebuild it with "
+            "`diffdec train --config <train report CSV>`")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
@@ -117,7 +126,6 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
                           embed_dim=int(config["embed_dim"]),
                           layers=int(config["layers"]),
                           hidden_mult=int(config["hidden_mult"]))
-        n, k = int(config["n"]), int(config["k"])
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"bad config block: {exc}") from None
     metadata = {key[5:]: val for key, val in config.items() if key.startswith("meta.")}
@@ -135,30 +143,24 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
     if pos != len(body):
         raise CheckpointError("trailing bytes after array section")
 
-    mask = None
-    if arch.backbone == "masked_attention":
-        if "attention.mask" not in arrays:
-            raise CheckpointError("masked_attention checkpoint lacks its mask")
-        mask = arrays.pop("attention.mask").astype(bool)
-    if code is not None and (code.n, code.k) != (n, k):
+    try:
+        stored = ParityCheckMatrix(arrays.pop("code.H"))
+        schedule = NoiseSchedule(arrays.pop("schedule.betas"))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint lacks its {exc} record") from None
+    except ValueError as exc:
+        raise CheckpointError(f"bad code or schedule record: {exc}") from None
+    if code is not None and not np.array_equal(code.matrix, stored.matrix):
         raise CheckpointError(
-            f"checkpoint is for an ({n},{k}) code, not ({code.n},{code.k})")
+            f"checkpoint is bound to another parity-check matrix ({stored!r}) "
+            f"than the code given ({code!r})")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-    model = DenoiserModel(arch, n, k, params, mask)
+    model = DenoiserModel(arch, code or stored, params)
 
-    reference = DenoiserModel.create(code or _dummy_code(n, k), arch, seed=0)
+    reference = DenoiserModel.create(stored, arch, seed=0)
     expected = {name: p.data.shape for name, p in reference.params.items()}
     got = {name: p.data.shape for name, p in params.items()}
     if expected != got:
         raise CheckpointError(
-            f"parameter shapes do not match a ({n},{k}) {arch.backbone} model")
-    return Checkpoint(version, model, metadata)
-
-
-def _dummy_code(n: int, k: int) -> ParityCheckMatrix:
-    # Shape validation only; any full-rank (n-k) x n matrix works.
-    m = n - k
-    mat = np.zeros((m, n), dtype=np.uint8)
-    mat[:, :k] = 1
-    mat[:, k:] = np.eye(m, dtype=np.uint8)
-    return ParityCheckMatrix(mat)
+            f"parameter shapes do not match a ({stored.n},{stored.k}) {arch.backbone} model")
+    return Checkpoint(version, model, schedule, metadata)

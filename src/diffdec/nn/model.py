@@ -73,22 +73,16 @@ def preprocess_batch(Y: np.ndarray, H: ParityCheckMatrix) -> tuple[np.ndarray, n
 
 
 class DenoiserModel:
-    """Flip-probability predictor bound to one code's dimensions."""
+    """Flip-probability predictor bound to one code; n, k and the attention mask come from it."""
 
-    def __init__(self, arch: ArchConfig, n: int, k: int,
-                 params: dict[str, Tensor], mask: np.ndarray | None):
-        if arch.backbone == "masked_attention":
-            s = 2 * n - k
-            if mask is None or mask.shape != (s, s):
-                raise ValueError("masked_attention model needs a (2n-k, 2n-k) mask")
+    def __init__(self, arch: ArchConfig, code: ParityCheckMatrix, params: dict[str, Tensor]):
         self.arch = arch
-        self.n = n
-        self.k = k
+        self.code = code
+        self.n = code.n
+        self.k = code.k
         self.params = params
-        self.mask = mask
-        self._mask_bias = None
-        if mask is not None:
-            self._mask_bias = np.where(mask, 0.0, -np.inf)
+        self.mask = attention_mask(code.matrix) if arch.backbone == "masked_attention" else None
+        self._mask_bias = None if self.mask is None else np.where(self.mask, 0.0, -np.inf)
 
     # -- construction -----------------------------------------------------
 
@@ -117,7 +111,6 @@ class DenoiserModel:
                 fan_in = width
             param("head.weight", 0.1 * rng.standard_normal((fan_in, n)) / np.sqrt(fan_in))
             param("head.bias", np.zeros(n))
-            mask = None
         else:
             width = arch.hidden_mult * d
             for i in range(arch.layers):
@@ -136,8 +129,7 @@ class DenoiserModel:
             param("final_ln.bias", np.zeros(d))
             param("head.weight", 0.1 * rng.standard_normal((d, 1)) / np.sqrt(d))
             param("head.bias", np.zeros(1))
-            mask = attention_mask(code.matrix)
-        return cls(arch, n, k, params, mask)
+        return cls(arch, code, params)
 
     # -- forward ----------------------------------------------------------
 
@@ -190,10 +182,9 @@ class DenoiserModel:
                            self.params["head.bias"])
         return T.reshape(logits, (-1,)) if single else logits
 
-    def denoise(self, Y: np.ndarray, H: ParityCheckMatrix,
-                gamma: np.ndarray | None = None) -> np.ndarray:
+    def denoise(self, Y: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
         """Inference entry point: raw received words -> flip logits (no grad)."""
-        feats, e = preprocess_batch(Y, H)
+        feats, e = preprocess_batch(Y, self.code)
         if gamma is None:
             gamma = e
         with T.no_grad():

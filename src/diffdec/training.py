@@ -57,15 +57,15 @@ class TrainReport:
     seed: int = 0
 
 
-def training_step(model: DenoiserModel, H: ParityCheckMatrix, schedule: NoiseSchedule,
+def training_step(model: DenoiserModel, schedule: NoiseSchedule,
                   batch_size: int, rng: np.random.Generator,
                   t: np.ndarray | None = None, eps: np.ndarray | None = None) -> float:
-    """One batch: sample (t, eps) per sample, build x_t, regress bin(eps_mul).
+    """One batch on ``model.code``: sample (t, eps), build x_t, regress bin(eps_mul).
 
     Gradients (averaged over the batch) are left on ``model.params``;
     ``t``/``eps`` can be injected for tests.
     """
-    n = H.n
+    n = model.n
     x0 = np.ones(n)  # BPSK of the all-zeros codeword
     if t is None:
         t = rng.integers(1, schedule.T + 1, size=batch_size)
@@ -77,7 +77,7 @@ def training_step(model: DenoiserModel, H: ParityCheckMatrix, schedule: NoiseSch
         eps = np.asarray(eps, dtype=np.float64)
     x_t = x0 + np.sqrt(schedule.beta_bars[t - 1])[:, None] * eps
     targets = (x0 * x_t < 0).astype(np.float64)  # bin of the multiplicative noise
-    feats, e = preprocess_batch(x_t, H)
+    feats, e = preprocess_batch(x_t, model.code)
     model.zero_grad()
     loss = bce_with_logits_mean(model.forward(feats, e), targets)
     loss.backward()
@@ -98,7 +98,7 @@ def train(config: TrainConfig, code: ParityCheckMatrix | None = None
         lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)
         total = 0.0
         for _ in range(config.batches_per_epoch):
-            loss = training_step(model, H, schedule, config.batch_size, rng)
+            loss = training_step(model, schedule, config.batch_size, rng)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss in epoch {epoch}")
             opt.step(lr)

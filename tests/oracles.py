@@ -9,6 +9,7 @@ finite differences.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from diffdec.gf2 import ParityCheckMatrix
@@ -96,3 +97,16 @@ HAMMING74_ALIST = """\
 1 3 4 6
 2 3 4 7
 """
+
+
+@st.composite
+def codes(draw):
+    """Hypothesis strategy: ([A | I] with a random A and a random column order,
+    which is always full rank, and the numpy generator that built it)."""
+    n = draw(st.integers(3, 10))
+    m = draw(st.integers(1, n - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 2, size=(m, n - m), dtype=np.uint8)
+    H = np.concatenate([A, np.eye(m, dtype=np.uint8)], axis=1)
+    return ParityCheckMatrix(H[:, rng.permutation(n)]), rng

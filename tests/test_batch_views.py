@@ -13,22 +13,11 @@ from hypothesis import strategies as st
 from diffdec.bp import bp_decode, bp_decode_batch
 from diffdec.decoding import DecodeConfig, decode, decode_batch
 from diffdec.diffusion import NoiseSchedule
-from diffdec.gf2 import ParityCheckMatrix, encode, encode_batch, hard_decision, ml_decode, \
-    ml_decode_batch, syndrome, syndrome_weights, systematic_generator
+from diffdec.gf2 import encode, encode_batch, hard_decision, ml_decode, ml_decode_batch, \
+    syndrome, syndrome_weights, systematic_generator
+from oracles import codes
 
 BATCH = 6
-
-
-@st.composite
-def codes(draw):
-    """[A | I] with a random A and a random column order: always full rank."""
-    n = draw(st.integers(3, 10))
-    m = draw(st.integers(1, n - 1))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    A = rng.integers(0, 2, size=(m, n - m), dtype=np.uint8)
-    H = np.concatenate([A, np.eye(m, dtype=np.uint8)], axis=1)
-    return ParityCheckMatrix(H[:, rng.permutation(n)]), rng
 
 
 def flip_logits(Y, gamma):

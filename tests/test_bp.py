@@ -116,6 +116,13 @@ class TestBpDecode:
         incidence[np.arange(g.num_edges), g.edge_col] = 1.0
         assert post == pytest.approx(llr + m_cv @ incidence, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("word", [[np.nan, 1.0, 1.0], [np.inf, -np.inf, 1.0]])
+    def test_non_finite_word_rejected(self, rep31, word):
+        with pytest.raises(ValueError, match="finite"):
+            bp_decode_batch(rep31, np.array([word]), 0.8)
+        with pytest.raises(ValueError, match="finite"):
+            bp_decode(rep31, np.array(word), 0.8)
+
     def test_sigma_validation(self, rep31):
         with pytest.raises(ValueError):
             bp_decode(rep31, np.ones(3), sigma=0.0)

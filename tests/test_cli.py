@@ -1,6 +1,10 @@
+import struct
+import zlib
+
 import pytest
 
 from diffdec.cli import build_parser, main, read_config_file
+from diffdec.diffusion import NoiseSchedule
 from diffdec.gf2 import builtin_code
 from diffdec.nn import ArchConfig, DenoiserModel, load_checkpoint, save_checkpoint
 
@@ -148,16 +152,20 @@ class TestDecodeCli:
                      "--in", str(words)]) == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_checkpoint_without_schedule_is_an_error(self, tmp_path, capsys):
+    def test_v1_checkpoint_is_rejected_naming_its_version(self, tmp_path, capsys):
         rep31 = builtin_code("rep31")
-        ckpt = tmp_path / "nobetas.ckpt"
-        save_checkpoint(DenoiserModel.create(rep31, ArchConfig("mlp", 8, 1)), ckpt,
-                        {"code": "rep31"})
+        ckpt = tmp_path / "v1.ckpt"
+        save_checkpoint(DenoiserModel.create(rep31, ArchConfig("mlp", 8, 1)),
+                        NoiseSchedule.constant(0.3, 2), ckpt, {"code": "rep31"})
+        body = bytearray(ckpt.read_bytes()[:-4])
+        body[8:12] = struct.pack("<I", 1)  # the version word follows the 8-byte magic
+        ckpt.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
         words = tmp_path / "w.txt"
         words.write_text("0.9 -0.2 0.3\n")
         assert main(["decode", "--code", "rep31", "--checkpoint", str(ckpt),
                      "--in", str(words)]) == 1
-        assert "betas" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "version 1" in err and "train --config" in err
 
 
 class TestOracleCli:

@@ -4,7 +4,7 @@ import pytest
 from diffdec.channel import bpsk, make_rng
 from diffdec.decoding import DecodeConfig, decode, decode_batch, line_search
 from diffdec.diffusion import NoiseSchedule, posterior_coefficients
-from diffdec.gf2 import Codeword, syndrome
+from diffdec.gf2 import Codeword, ParityCheckMatrix, syndrome
 from diffdec.nn import ArchConfig, DenoiserModel
 from oracles import oracle_denoiser
 
@@ -77,6 +77,15 @@ class TestDecodeBasics:
         with pytest.raises(ValueError, match="finite"):
             decode(fn, ham74, SCHED74, Y[1])
 
+    @pytest.mark.parametrize("backbone", ["mlp", "masked_attention"])
+    def test_model_rejects_another_matrix_of_the_same_dimensions(self, ham74, backbone):
+        model = DenoiserModel.create(ham74, ArchConfig(backbone, 8, 1), seed=0)
+        reversed_code = ParityCheckMatrix(ham74.matrix[:, ::-1])
+        assert not np.array_equal(reversed_code.matrix, ham74.matrix)
+        Y = make_rng(5).normal(0, 1, (4, 7))
+        with pytest.raises(ValueError, match="parity-check matrix"):
+            decode_batch(model, reversed_code, SCHED74, Y)
+
     def test_single_word_matches_batch(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=5)
         rng = make_rng(6)
@@ -100,13 +109,15 @@ class TestLineSearch:
     def test_zero_noise_ties_break_to_smallest_lambda(self, ham74):
         y = np.ones(7)
         y[4] = -1.0  # single flip, column weight 1
-        lam = line_search(ham74, y, np.zeros(7), 1, SCHED74, (1.0, 20.0, 20))
+        lam = line_search(ham74, y, np.zeros(7), 1, SCHED74,
+                          DecodeConfig(ls_grid=(1.0, 20.0, 20)).grid())
         assert lam == 1.0
 
     def test_single_point_grid_returns_it(self, ham74):
         y = np.ones(7)
         y[4] = -1.0
-        lam = line_search(ham74, y, y - np.ones(7), 1, SCHED74, (7.5, 7.5, 1))
+        lam = line_search(ham74, y, y - np.ones(7), 1, SCHED74,
+                          DecodeConfig(ls_grid=(7.5, 7.5, 1)).grid())
         assert lam == 7.5
 
     def test_exact_landing_is_found_and_is_the_smallest_zeroing_lambda(self, ham74, ham74_gen):
@@ -127,6 +138,16 @@ class TestLineSearch:
         assert lam == expected
         assert syndrome(ham74, y - lam * coeff * eps_hat).weight == 0
 
+    def test_grid_is_a_sequence_of_multipliers_whatever_its_type(self, ham74, ham74_gen):
+        x = bpsk(Codeword(ham74_gen.codebook()[5]))
+        y = x.copy()
+        y[2] = -y[2]
+        gamma = syndrome(ham74, y).weight
+        coeff = posterior_coefficients(gamma, SCHED74).mean_noise_coeff
+        eps_hat = (y - x) / (20.0 * coeff)  # only lam = 20 lands on x
+        for grid in [(2.0, 8.0, 20), [2.0, 8.0, 20]]:
+            assert line_search(ham74, y, eps_hat, gamma, SCHED74, grid) == 20.0
+
     def test_single_point_ls_equals_regular_trace(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=7)
         rng = make_rng(8)
@@ -142,7 +163,8 @@ class TestLineSearch:
 
     def test_gamma_zero_rejected(self, ham74):
         with pytest.raises(ValueError):
-            line_search(ham74, np.ones(7), np.zeros(7), 0, SCHED74, (1.0, 20.0, 20))
+            line_search(ham74, np.ones(7), np.zeros(7), 0, SCHED74,
+                        DecodeConfig(ls_grid=(1.0, 20.0, 20)).grid())
 
 
 class TestEquivariance:

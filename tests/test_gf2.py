@@ -66,6 +66,11 @@ class TestParityCheckMatrix:
         with pytest.raises(ValueError):
             ParityCheckMatrix([[1, 1, 0], [0, 0, 0]])
 
+    @pytest.mark.parametrize("entry", [0.5, 1.5])
+    def test_rejects_non_binary_entries_before_casting(self, entry):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ParityCheckMatrix([[1, entry, 1, 0], [0, 1, 1, 1]])
+
     def test_rejects_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
             ParityCheckMatrix([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
@@ -223,6 +228,14 @@ class TestMlDecode:
         H = ParityCheckMatrix(mat)  # k = 18
         with pytest.raises(ValueError):
             ml_decode_batch(H, systematic_generator(H), np.ones((1, 20)))
+
+
+    @pytest.mark.parametrize("word", [[np.nan, 1.0, 1.0], [np.inf, -np.inf, 1.0]])
+    def test_non_finite_word_rejected(self, rep31, rep31_gen, word):
+        with pytest.raises(ValueError, match="finite"):
+            ml_decode_batch(rep31, rep31_gen, np.array([word]))
+        with pytest.raises(ValueError, match="finite"):
+            ml_decode(rep31, rep31_gen, np.array(word))
 
 
 class TestExhaustiveCodeInvariants:

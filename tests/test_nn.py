@@ -1,14 +1,21 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffdec.channel import bpsk, make_rng
-from diffdec.gf2 import Codeword, encode
+from diffdec.diffusion import NoiseSchedule
+from diffdec.gf2 import Codeword, ParityCheckMatrix, encode
 from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attention_mask,
                         bce_with_logits_mean, cosine_lr, load_checkpoint, preprocess,
                         save_checkpoint)
 from diffdec.nn.tensor import Tensor
-from oracles import finite_diff_param_grad
+from oracles import codes, finite_diff_param_grad
 
+SCHED74 = NoiseSchedule.constant(0.01, 3)
 ARCHS = {
     "mlp": ArchConfig("mlp", embed_dim=8, layers=2),
     "masked_attention": ArchConfig("masked_attention", embed_dim=8, layers=2),
@@ -227,7 +234,6 @@ class TestAdam:
         assert np.array_equal(p.data, np.ones(4))
 
     def test_seeded_training_is_reproducible(self, rep31):
-        from diffdec.diffusion import NoiseSchedule
         from diffdec.training import training_step
 
         def run():
@@ -237,7 +243,7 @@ class TestAdam:
             sched = NoiseSchedule.constant(0.2, 2)
             losses = []
             for _ in range(5):
-                losses.append(training_step(model, rep31, sched, 32, rng))
+                losses.append(training_step(model, sched, 32, rng))
                 opt.step(1e-3)
             return losses, model.params["head.weight"].data.copy()
 
@@ -258,12 +264,39 @@ class TestCosine:
             cosine_lr(5, 4)
 
 
+def _record(raw: bytes, name: str) -> tuple[int, int, int]:
+    """Start, first-value offset and end of array record ``name`` in checkpoint bytes."""
+    head = struct.pack("<H", len(name)) + name.encode()
+    start = raw.index(head)
+    rank = raw[start + len(head)]
+    dims_at = start + len(head) + 1
+    dims = struct.unpack(f"<{rank}I", raw[dims_at:dims_at + 4 * rank])
+    values_at = dims_at + 4 * rank
+    return start, values_at, values_at + 8 * int(np.prod(dims))
+
+
+def _sealed(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _other_matrix(H: ParityCheckMatrix) -> ParityCheckMatrix:
+    """A full-rank matrix of H's shape that differs from H in one bit of row 0."""
+    for j in range(H.n):
+        flipped = H.matrix.copy()
+        flipped[0, j] ^= 1
+        try:
+            return ParityCheckMatrix(flipped)
+        except ValueError:
+            continue
+    raise AssertionError("some single flip in row 0 keeps full rank when n >= 2")
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("backbone", list(ARCHS))
     def test_roundtrip_reproduces_forward_bit_exactly(self, tmp_path, ham74, backbone):
         model = DenoiserModel.create(ham74, ARCHS[backbone], seed=17)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, {"seed": "17", "betas": "0.01,0.01,0.01"})
+        save_checkpoint(model, SCHED74, path, {"seed": "17"})
         loaded = load_checkpoint(path, code=ham74)
         assert loaded.metadata["seed"] == "17"
         rng = np.random.default_rng(18)
@@ -276,7 +309,7 @@ class TestCheckpoint:
     def test_truncated_file_is_rejected(self, tmp_path, ham74):
         model = DenoiserModel.create(ham74, ARCHS["mlp"], seed=19)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, SCHED74, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
@@ -285,7 +318,7 @@ class TestCheckpoint:
     def test_bitflip_corruption_is_rejected(self, tmp_path, ham74):
         model = DenoiserModel.create(ham74, ARCHS["mlp"], seed=19)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, SCHED74, path)
         raw = bytearray(path.read_bytes())
         raw[60] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -296,10 +329,67 @@ class TestCheckpoint:
         from diffdec.gf2 import ParityCheckMatrix
         model = DenoiserModel.create(ham74, ARCHS["mlp"], seed=20)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, SCHED74, path)
         mat = np.zeros((4, 15), dtype=np.uint8)
         mat[:, :11] = np.random.default_rng(0).integers(0, 2, (4, 11))
         mat[:, 11:] = np.eye(4, dtype=np.uint8)
         other = ParityCheckMatrix(np.maximum(mat, 0))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, code=other)
+
+    @pytest.mark.parametrize("backbone", list(ARCHS))
+    def test_another_matrix_of_the_same_dimensions_rejected(self, tmp_path, ham74, backbone):
+        model = DenoiserModel.create(ham74, ARCHS[backbone], seed=20)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, SCHED74, path)
+        reversed_code = ParityCheckMatrix(ham74.matrix[:, ::-1])
+        assert not np.array_equal(reversed_code.matrix, ham74.matrix)
+        with pytest.raises(CheckpointError, match="parity-check matrix"):
+            load_checkpoint(path, code=reversed_code)
+
+    @pytest.mark.parametrize("name,value", [("code.H", None), ("schedule.betas", None),
+                                            ("code.H", 0.5), ("schedule.betas", -0.01)])
+    def test_missing_or_malformed_code_or_schedule_rejected(self, tmp_path, ham74, name, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DenoiserModel.create(ham74, ARCHS["mlp"], seed=19), SCHED74, path)
+        body = path.read_bytes()[:-4]
+        start, values_at, end = _record(body, name)
+        if value is None:  # drop the record and decrement the array count
+            count_at = 16 + struct.unpack("<I", body[12:16])[0]
+            (count,) = struct.unpack("<I", body[count_at:count_at + 4])
+            body = (body[:count_at] + struct.pack("<I", count - 1)
+                    + body[count_at + 4:start] + body[end:])
+        else:  # overwrite the record's first value
+            body = body[:values_at] + struct.pack("<d", value) + body[values_at + 8:]
+        path.write_bytes(_sealed(body))
+        with pytest.raises(CheckpointError, match=name if value is None else "record"):
+            load_checkpoint(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(code_and_rng=codes(), backbone=st.sampled_from(["mlp", "masked_attention"]),
+           data=st.data())
+    def test_round_trip_binds_code_and_schedule(self, tmp_path_factory, code_and_rng,
+                                                backbone, data):
+        H, _ = code_and_rng
+        model = DenoiserModel.create(H, ArchConfig(backbone, embed_dim=4, layers=1,
+                                                   hidden_mult=2), seed=3)
+        betas = data.draw(st.lists(st.floats(1e-4, 1.0), min_size=H.num_checks,
+                                   max_size=H.num_checks))
+        path = tmp_path_factory.getbasetemp() / "property.ckpt"
+        save_checkpoint(model, NoiseSchedule(betas), path)
+
+        loaded = load_checkpoint(path, code=H)
+        assert np.array_equal(loaded.model.code.matrix, H.matrix)
+        assert np.array_equal(loaded.schedule.betas, betas)
+        assert loaded.model.params.keys() == model.params.keys()
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.model.params[name].data, p.data)
+
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, code=_other_matrix(H))
+
+        raw = bytearray(path.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

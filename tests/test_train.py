@@ -17,7 +17,7 @@ class TestTrainingStep:
     def test_zero_noise_hook_gives_zero_targets_and_zero_count(self, ham74, small_model):
         sched = NoiseSchedule.constant(0.25, 3)
         # eps = 0: x_t = x0 exactly, every syndrome empty, loss ~ ln 2 at init
-        loss = training_step(small_model, ham74, sched, 4, make_rng(0),
+        loss = training_step(small_model, sched, 4, make_rng(0),
                              t=np.array([1, 2, 3, 1]), eps=np.zeros((4, 7)))
         assert loss == pytest.approx(np.log(2), rel=0.2)
 
@@ -33,20 +33,20 @@ class TestTrainingStep:
         # coordinate the parity count equals that column's weight
         from diffdec.gf2 import syndrome
         assert syndrome(ham74, x_t[0]).weight == int(ham74.matrix[:, 3].sum())
-        loss = training_step(small_model, ham74, sched, 1, make_rng(0), t=t, eps=eps)
+        loss = training_step(small_model, sched, 1, make_rng(0), t=t, eps=eps)
         assert np.isfinite(loss)
 
     def test_fixed_seed_is_bit_exact(self, ham74, small_model):
         sched = NoiseSchedule.constant(0.25, 3)
-        a = training_step(small_model, ham74, sched, 64, make_rng(33))
+        a = training_step(small_model, sched, 64, make_rng(33))
         small_model.zero_grad()
-        b = training_step(small_model, ham74, sched, 64, make_rng(33))
+        b = training_step(small_model, sched, 64, make_rng(33))
         assert a == b
 
     def test_loss_at_initialization_near_ln2(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 32, 2), seed=9)
         sched = NoiseSchedule.constant(0.25, 3)
-        loss = training_step(model, ham74, sched, 256, make_rng(1))
+        loss = training_step(model, sched, 256, make_rng(1))
         assert abs(loss - np.log(2)) < 0.2 * np.log(2)
 
 
