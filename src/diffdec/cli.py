@@ -99,10 +99,6 @@ def _decode_config(args, mode: str = "line_search") -> DecodeConfig:
                         ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -147,14 +143,13 @@ def _cmd_train(args) -> int:
         beta=args.beta, backbone=args.backbone, embed_dim=args.embed_dim,
         layers=args.layers, hidden_mult=args.hidden_mult)
     model, report = train(config, code=code)
-    schedule = NoiseSchedule.constant(config.beta, code.n - code.k)
     metadata = {
         "code": code_id, "seed": str(config.seed), "epochs": str(config.epochs),
         "batches_per_epoch": str(config.batches_per_epoch),
         "batch_size": str(config.batch_size),
         "lr0": repr(config.lr0), "lr_min": repr(config.lr_min),
     }
-    save_checkpoint(model, schedule, args.out, metadata)
+    save_checkpoint(model, report.schedule, args.out, metadata)
     _write(args.report, artifact(
         "train", _echo(args), "epoch,mean_loss",
         [f"{i},{repr(loss)}" for i, loss in enumerate(report.epoch_losses)]))

@@ -9,7 +9,17 @@ position-specific d-vector, then every embedding is multiplied elementwise
 by a learned conditioning row indexed by the parity-error count e in
 {0, ..., n-k}.  Two backbones share that front end:
 
-* ``mlp`` - flatten the conditioned embeddings and run a GELU MLP;
+* ``mlp`` - flatten the conditioned embeddings and run a GELU MLP.  For a
+  fixed count e the chain embedding -> conditioning row -> first dense
+  layer W1 (the head when layers = 0) is linear in the features, so the
+  forward folds it into n-k+1 matrices
+  ``M[e][i, :] = sum_j embed[i, j] * cond[e, j] * W1[(i, j), :]``, rebuilt
+  from the parameters on every call (training and decoding share it, so
+  nothing goes stale after an optimizer step).  Each feature row is spread
+  into the slots of its own count and multiplied by the stacked
+  ((2n-k)(n-k+1), width) matrix.  Per row the first layer then costs
+  (n-k+1)(2n-k)*width multiply-adds instead of (2n-k)*d*width, and building
+  M costs (n-k+1)(2n-k)*d*width once per call: a win while n-k+1 < d;
 * ``masked_attention`` - treat the 2n-k embeddings as tokens and run
   pre-norm self-attention blocks whose attention is restricted to pairs of
   positions that share a parity check (magnitude i <-> syndrome r iff
@@ -149,18 +159,30 @@ class DenoiserModel:
         if len(e_arr) != b:
             raise ValueError(f"{b} feature rows but {len(e_arr)} parity counts")
 
-        emb = T.mul(T.reshape(feats, (b, s, 1)), self.params["embed.weight"])
-        psi = T.gather_rows(self.params["cond.table"], e_arr)
-        x = T.mul(emb, T.reshape(psi, (b, 1, -1)))
-
+        d = self.arch.embed_dim
         if self.arch.backbone == "mlp":
-            h = T.reshape(x, (b, -1))
-            for i in range(self.arch.layers):
-                h = T.gelu(T.add(T.matmul(h, self.params[f"hidden.{i}.weight"]),
-                                 self.params[f"hidden.{i}.bias"]))
-            logits = T.add(T.matmul(h, self.params["head.weight"]), self.params["head.bias"])
+            layers = self.arch.layers
+            first = "hidden.0" if layers else "head"
+            w1 = self.params[first + ".weight"]
+            rows, width = self.n - self.k + 1, w1.data.shape[1]
+            # the folded front end of the module docstring, stacked with M[e][i] at row
+            # i*rows + e: one (rows, d) @ (d, width) product per position i
+            gate = T.mul(T.reshape(self.params["embed.weight"], (s, 1, d)),
+                         T.reshape(self.params["cond.table"], (1, rows, d)))
+            folded = T.reshape(T.matmul(gate, T.reshape(w1, (s, d, width))), (s * rows, width))
+            onehot = np.zeros((b, 1, rows))
+            onehot[np.arange(b), 0, e_arr] = 1.0
+            spread = T.reshape(T.mul(T.reshape(feats, (b, s, 1)), onehot), (b, s * rows))
+            h = T.add(T.matmul(spread, folded), self.params[first + ".bias"])
+            for i in range(1, layers + 1):
+                nxt = f"hidden.{i}" if i < layers else "head"
+                h = T.add(T.matmul(T.gelu(h), self.params[nxt + ".weight"]),
+                          self.params[nxt + ".bias"])
+            logits = h
         else:
-            d = self.arch.embed_dim
+            emb = T.mul(T.reshape(feats, (b, s, 1)), self.params["embed.weight"])
+            psi = T.gather_rows(self.params["cond.table"], e_arr)
+            x = T.mul(emb, T.reshape(psi, (b, 1, -1)))
             scale = 1.0 / np.sqrt(d)
             for i in range(self.arch.layers):
                 pre = f"blocks.{i}."

@@ -244,12 +244,12 @@ def gelu(a) -> Tensor:
     gradient checks well-conditioned."""
     a = _wrap(a)
     x = a.data
-    u = _GELU_C * (x + 0.044715 * x**3)
+    u = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would go through pow
     th = np.tanh(u)
     data = 0.5 * x * (1.0 + th)
 
     def backward(grad):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
         a._accumulate(grad * local)
 

@@ -55,6 +55,7 @@ class TrainReport:
     final_loss: float | None = None
     wall_seconds: float = 0.0
     seed: int = 0
+    schedule: NoiseSchedule | None = None  # the one trained with; checkpoints store it
 
 
 def training_step(model: DenoiserModel, schedule: NoiseSchedule,
@@ -86,13 +87,13 @@ def training_step(model: DenoiserModel, schedule: NoiseSchedule,
 
 def train(config: TrainConfig, code: ParityCheckMatrix | None = None
           ) -> tuple[DenoiserModel, TrainReport]:
-    """Run the full loop; returns the model and its per-epoch loss history."""
+    """Run the full loop; returns the model and its report (per-epoch losses, schedule)."""
     H = code if code is not None else builtin_code(config.code)
     schedule = NoiseSchedule.constant(config.beta, H.n - H.k)
     model = DenoiserModel.create(H, config.arch, seed=config.seed)
     rng = make_rng(config.seed, stream=1)
     opt = Adam(model.params)
-    report = TrainReport(seed=config.seed)
+    report = TrainReport(seed=config.seed, schedule=schedule)
     start = time.perf_counter()
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)

@@ -1,6 +1,5 @@
 import pytest
 
-from diffdec.diffusion import NoiseSchedule
 from diffdec.gf2 import builtin_code, systematic_generator
 from diffdec.training import TrainConfig, train
 
@@ -40,13 +39,11 @@ def rep31_gen(rep31):
 def trained_rep31(rep31):
     """(model, schedule, report) for the frozen rep31 acceptance config."""
     model, report = train(REP31_TRAIN, code=rep31)
-    schedule = NoiseSchedule.constant(REP31_TRAIN.beta, rep31.n - rep31.k)
-    return model, schedule, report
+    return model, report.schedule, report
 
 
 @pytest.fixture(scope="session")
 def trained_ham74(ham74):
     """(model, schedule, report) for the frozen Hamming(7,4) acceptance config."""
     model, report = train(HAM74_TRAIN, code=ham74)
-    schedule = NoiseSchedule.constant(HAM74_TRAIN.beta, ham74.n - ham74.k)
-    return model, schedule, report
+    return model, report.schedule, report

@@ -1,8 +1,12 @@
 import struct
 import zlib
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import diffdec.cli
+import diffdec.training
 from diffdec.cli import build_parser, main, read_config_file
 from diffdec.diffusion import NoiseSchedule
 from diffdec.gf2 import builtin_code
@@ -107,6 +111,27 @@ class TestTrainCli:
                      "--out", str(b_ckpt), "--report", str(b_rep)]) == 0
         assert a_ckpt.read_bytes() == b_ckpt.read_bytes()
         assert a_rep.read_bytes() == b_rep.read_bytes()
+
+    def test_checkpoint_stores_the_schedule_train_used(self, tmp_path, capsys, monkeypatch):
+        reports = []
+
+        def spy(config, code=None):
+            model, report = diffdec.training.train(config, code=code)
+            reports.append(report)
+            return model, report
+
+        # train builds a schedule the CLI could not rebuild from --beta alone
+        monkeypatch.setattr(diffdec.training, "NoiseSchedule", SimpleNamespace(
+            constant=lambda beta, T: NoiseSchedule.linear(beta / 2, beta, T)))
+        monkeypatch.setattr(diffdec.cli, "train", spy)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--code", "hamming74", "--epochs", "1",
+                     "--batches-per-epoch", "2", "--batch-size", "8",
+                     "--embed-dim", "4", "--layers", "1", "--beta", "0.3",
+                     "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 0
+        (report,) = reports
+        assert np.allclose(report.schedule.betas, [0.15, 0.225, 0.3], rtol=0, atol=1e-15)
+        assert np.array_equal(load_checkpoint(ckpt).schedule.betas, report.schedule.betas)
 
 
 class TestDecodeCli:

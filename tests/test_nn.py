@@ -8,18 +8,45 @@ from hypothesis import strategies as st
 
 from diffdec.channel import bpsk, make_rng
 from diffdec.diffusion import NoiseSchedule
-from diffdec.gf2 import Codeword, ParityCheckMatrix, encode
+from diffdec.gf2 import Codeword, ParityCheckMatrix, builtin_code, encode
 from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attention_mask,
                         bce_with_logits_mean, cosine_lr, load_checkpoint, preprocess,
-                        save_checkpoint)
+                        preprocess_batch, save_checkpoint)
+from diffdec.nn import tensor as T
 from diffdec.nn.tensor import Tensor
-from oracles import codes, finite_diff_param_grad
+from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
 
 SCHED74 = NoiseSchedule.constant(0.01, 3)
 ARCHS = {
     "mlp": ArchConfig("mlp", embed_dim=8, layers=2),
     "masked_attention": ArchConfig("masked_attention", embed_dim=8, layers=2),
 }
+
+
+def _gelu_reference(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))))
+
+
+def _unfolded_mlp_logits(model, feats, e):
+    """Plain-numpy MLP forward that conditions every embedding before the first layer."""
+    p = {name: t.data for name, t in model.params.items()}
+    x = feats[:, :, None] * p["embed.weight"] * p["cond.table"][e][:, None, :]
+    h = x.reshape(len(feats), -1)
+    for i in range(model.arch.layers):
+        h = _gelu_reference(h @ p[f"hidden.{i}.weight"] + p[f"hidden.{i}.bias"])
+    return h @ p["head.weight"] + p["head.bias"]
+
+
+def _assert_folded_forward_matches_unfolded(H, layers, seed):
+    model = DenoiserModel.create(H, ArchConfig("mlp", embed_dim=8, layers=layers), seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in model.params.values():  # off the initial point: nonzero biases, uneven gates
+        t.data[...] = rng.normal(0, 1, t.data.shape)
+    feats, e = preprocess_batch(rng.normal(1, 1.5, (64, H.n)), H)
+    e[: H.n - H.k + 1] = np.arange(H.n - H.k + 1)  # every parity count occurs
+    got = model.forward(feats, e).data
+    want = _unfolded_mlp_logits(model, feats, e)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def _random_case(H, rng):
@@ -109,6 +136,36 @@ class TestForward:
                                atol=1e-12)
 
 
+class TestFoldedFrontEnd:
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("code", ["rep31", "hamming74", "ldpc49"])
+    def test_matches_unfolded_formula(self, code, layers):
+        H = pseudo_ldpc_49_24() if code == "ldpc49" else builtin_code(code)
+        _assert_folded_forward_matches_unfolded(H, layers, seed=30 + layers)
+
+    @settings(max_examples=25, deadline=None)
+    @given(code_and_rng=codes(), layers=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_matches_unfolded_formula_on_random_codes(self, code_and_rng, layers, seed):
+        _assert_folded_forward_matches_unfolded(code_and_rng[0], layers, seed)
+
+
+class TestGelu:
+    def test_forward_matches_the_tanh_formula(self):
+        x = np.concatenate([np.linspace(-8, 8, 4001),
+                            np.random.default_rng(31).normal(0, 30, 2000)])
+        got = T.gelu(Tensor(x)).data
+        assert (np.abs(got - _gelu_reference(x)) <= 1e-15 * np.maximum(1.0, np.abs(x))).all()
+
+    def test_backward_matches_central_differences(self):
+        x = np.linspace(-8, 8, 4001)
+        xt = Tensor(x, requires_grad=True)
+        total = T.matmul(T.reshape(T.gelu(xt), (1, -1)), np.ones((len(x), 1)))
+        total.backward()
+        h = 1e-5
+        fd = (_gelu_reference(x + h) - _gelu_reference(x - h)) / (2 * h)
+        assert np.allclose(xt.grad, fd, rtol=0, atol=1e-9)
+
+
 class TestBce:
     def test_zero_logits_cost_ln2(self):
         logits = Tensor(np.zeros(10))
@@ -151,7 +208,7 @@ class TestBackward:
         model.zero_grad()
         loss = bce_with_logits_mean(model.forward(feats, e), targets)
         loss.backward()
-        # conditioning rows other than e are never gathered
+        # the folded rows of the other counts only ever meet zero features
         other = [r for r in range(4) if r != e]
         table_grad = model.params["cond.table"].grad
         assert not table_grad[other].any()
