@@ -12,14 +12,16 @@ by a learned conditioning row indexed by the parity-error count e in
 * ``mlp`` - flatten the conditioned embeddings and run a GELU MLP.  For a
   fixed count e the chain embedding -> conditioning row -> first dense
   layer W1 (the head when layers = 0) is linear in the features, so the
-  forward folds it into n-k+1 matrices
-  ``M[e][i, :] = sum_j embed[i, j] * cond[e, j] * W1[(i, j), :]``, rebuilt
-  from the parameters on every call (training and decoding share it, so
-  nothing goes stale after an optimizer step).  Each feature row is spread
-  into the slots of its own count and multiplied by the stacked
-  ((2n-k)(n-k+1), width) matrix.  Per row the first layer then costs
-  (n-k+1)(2n-k)*width multiply-adds instead of (2n-k)*d*width, and building
-  M costs (n-k+1)(2n-k)*d*width once per call: a win while n-k+1 < d;
+  forward folds it into one (2n-k, width) matrix per count
+  ``M[e][i, :] = sum_j embed[i, j] * cond[e, j] * W1[(i, j), :]``, built
+  from the parameters on every call for the u distinct counts of the batch
+  (training and decoding share it, so nothing goes stale after an optimizer
+  step).  Each feature row is multiplied by the matrix of its own count.
+  Per row the first layer then costs (2n-k)*width multiply-adds instead of
+  (2n-k)*d*width, whatever n-k is, and building the matrices costs
+  u(2n-k)*d*width per call, with u <= min(batch, n-k+1).  So the folded
+  layer costs at most (1 + 1/d) times the unfolded one (every row with its
+  own count), and about 1/d of it when the batch is much larger than u;
 * ``masked_attention`` - treat the 2n-k embeddings as tokens and run
   pre-norm self-attention blocks whose attention is restricted to pairs of
   positions that share a parity check (magnitude i <-> syndrome r iff
@@ -164,16 +166,14 @@ class DenoiserModel:
             layers = self.arch.layers
             first = "hidden.0" if layers else "head"
             w1 = self.params[first + ".weight"]
-            rows, width = self.n - self.k + 1, w1.data.shape[1]
-            # the folded front end of the module docstring, stacked with M[e][i] at row
-            # i*rows + e: one (rows, d) @ (d, width) product per position i
+            # the folded front end of the module docstring: M[c] = folded[:, g] for the
+            # g-th count c present, one (u, d) @ (d, width) product per position
+            counts, group = np.unique(e_arr, return_inverse=True)
+            u = len(counts)
             gate = T.mul(T.reshape(self.params["embed.weight"], (s, 1, d)),
-                         T.reshape(self.params["cond.table"], (1, rows, d)))
-            folded = T.reshape(T.matmul(gate, T.reshape(w1, (s, d, width))), (s * rows, width))
-            onehot = np.zeros((b, 1, rows))
-            onehot[np.arange(b), 0, e_arr] = 1.0
-            spread = T.reshape(T.mul(T.reshape(feats, (b, s, 1)), onehot), (b, s * rows))
-            h = T.add(T.matmul(spread, folded), self.params[first + ".bias"])
+                         T.reshape(T.gather_rows(self.params["cond.table"], counts), (1, u, d)))
+            folded = T.matmul(gate, T.reshape(w1, (s, d, w1.data.shape[1])))
+            h = T.add(T.grouped_matmul(feats, group, folded), self.params[first + ".bias"])
             for i in range(1, layers + 1):
                 nxt = f"hidden.{i}" if i < layers else "head"
                 h = T.add(T.matmul(T.gelu(h), self.params[nxt + ".weight"]),

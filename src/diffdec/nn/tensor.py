@@ -6,7 +6,8 @@ records a closure that scatters the output gradient back to its parents.
 single-use: a second backward on the same root raises.
 
 Only the ops the denoiser needs are provided (broadcasted add/mul, matmul,
-reshape, row gather, softmax, gelu, layer norm, stable BCE-with-logits).
+a matmul with one table per group of rows, reshape, row gather, softmax,
+gelu, layer norm, stable BCE-with-logits).
 """
 
 from __future__ import annotations
@@ -171,6 +172,36 @@ def matmul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(data, (a, b), backward)
+
+
+def grouped_matmul(x, group, tables) -> Tensor:
+    """out[b] = x[b] @ tables[:, group[b], :] for x (B, s) and tables (s, G, w).
+
+    The rows of each group go through one product with their own table, so a
+    row costs s*w multiply-adds however many groups there are."""
+    x, tables = _wrap(x), _wrap(tables)
+    group = np.asarray(group, dtype=np.int64)
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(tables.data.shape[1] + 1))
+    parts = [(g, order[lo:hi], x.data[order[lo:hi]])
+             for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+    data = np.empty((len(group), tables.data.shape[2]))
+    for g, rows, xg in parts:
+        data[rows] = xg @ tables.data[:, g]
+
+    def backward(grad):
+        if tables.requires_grad:
+            full = np.zeros_like(tables.data)
+            for g, rows, xg in parts:
+                full[:, g] = xg.T @ grad[rows]
+            tables._accumulate(full)
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
+            for g, rows, _ in parts:
+                gx[rows] = grad[rows] @ tables.data[:, g].T
+            x._accumulate(gx)
+
+    return _make(data, (x, tables), backward)
 
 
 def reshape(a, shape) -> Tensor:

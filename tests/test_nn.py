@@ -44,9 +44,10 @@ def _assert_folded_forward_matches_unfolded(H, layers, seed):
         t.data[...] = rng.normal(0, 1, t.data.shape)
     feats, e = preprocess_batch(rng.normal(1, 1.5, (64, H.n)), H)
     e[: H.n - H.k + 1] = np.arange(H.n - H.k + 1)  # every parity count occurs
-    got = model.forward(feats, e).data
-    want = _unfolded_mlp_logits(model, feats, e)
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for rows in (slice(None), slice(32, None), slice(5, 6)):  # all counts, some, one row
+        got = model.forward(feats[rows], e[rows]).data
+        want = _unfolded_mlp_logits(model, feats[rows], e[rows])
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def _random_case(H, rng):
@@ -149,21 +150,28 @@ class TestFoldedFrontEnd:
         _assert_folded_forward_matches_unfolded(code_and_rng[0], layers, seed)
 
 
-class TestGelu:
-    def test_forward_matches_the_tanh_formula(self):
-        x = np.concatenate([np.linspace(-8, 8, 4001),
-                            np.random.default_rng(31).normal(0, 30, 2000)])
-        got = T.gelu(Tensor(x)).data
-        assert (np.abs(got - _gelu_reference(x)) <= 1e-15 * np.maximum(1.0, np.abs(x))).all()
-
-    def test_backward_matches_central_differences(self):
-        x = np.linspace(-8, 8, 4001)
-        xt = Tensor(x, requires_grad=True)
-        total = T.matmul(T.reshape(T.gelu(xt), (1, -1)), np.ones((len(x), 1)))
-        total.backward()
-        h = 1e-5
-        fd = (_gelu_reference(x + h) - _gelu_reference(x - h)) / (2 * h)
-        assert np.allclose(xt.grad, fd, rtol=0, atol=1e-9)
+class TestGroupedMatmul:
+    def test_matches_per_row_products_and_central_differences(self):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+        tables = Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
+        group = np.array([2, 0, 2, 3, 0, 2, 0, 0, 3])  # group 1 has no rows
+        probe = rng.normal(size=(9, 3))
+        out = T.grouped_matmul(x, group, tables)
+        want = np.stack([x.data[b] @ tables.data[:, g] for b, g in enumerate(group)])
+        assert np.allclose(out.data, want, rtol=0, atol=1e-14)
+        T.matmul(T.reshape(T.mul(out, probe), (1, -1)), np.ones((probe.size, 1))).backward()
+        h = 1e-6
+        for t in (x, tables):
+            for index in np.ndindex(*t.data.shape):
+                saved = t.data[index]
+                t.data[index] = saved + h
+                up = (T.grouped_matmul(x.data, group, tables.data).data * probe).sum()
+                t.data[index] = saved - h
+                down = (T.grouped_matmul(x.data, group, tables.data).data * probe).sum()
+                t.data[index] = saved
+                assert abs(t.grad[index] - (up - down) / (2 * h)) <= 1e-8
+        assert not tables.grad[:, 1].any()
 
 
 class TestBce:
@@ -208,7 +216,7 @@ class TestBackward:
         model.zero_grad()
         loss = bce_with_logits_mean(model.forward(feats, e), targets)
         loss.backward()
-        # the folded rows of the other counts only ever meet zero features
+        # the folded matrices are built only for the counts in the batch
         other = [r for r in range(4) if r != e]
         table_grad = model.params["cond.table"].grad
         assert not table_grad[other].any()
