@@ -23,7 +23,7 @@ from .channel import EbN0Point, awgn_batch, bpsk, ebn0_to_sigma, make_rng
 from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
 from .gf2 import GeneratorMatrix, ParityCheckMatrix, encode_batch, ml_decode_batch, \
-    repetition_3_1, syndrome_weights, systematic_generator
+    syndrome_weights, systematic_generator
 
 DECODER_KINDS = ("ddecc", "ddecc-ls", "bp", "ml")
 
@@ -249,16 +249,12 @@ def lambda_histogram_csv(grid, counts, config: dict | None = None) -> str:
 
 
 def forward_process_trace(schedule: NoiseSchedule, trajectories: int,
-                          rng: np.random.Generator, steps: int | None = None,
-                          code: ParityCheckMatrix | None = None) -> list[tuple]:
-    """Stepwise forward-walk coordinates of modulated (3,1) codewords.
+                          rng: np.random.Generator, steps: int | None = None) -> list[tuple]:
+    """Stepwise forward-walk coordinates of modulated (3,1) repetition codewords.
 
     Each trajectory starts at +-(1,1,1) (a random codeword) and follows the
     Markov chain x_t = x_{t-1} + sqrt(beta_t) z.  Rows: (traj, t, x, y, z).
     """
-    code = code or repetition_3_1()
-    if code.n != 3:
-        raise ValueError("the forward-process visualization is 3-D only")
     steps = schedule.T if steps is None else int(steps)
     if not 0 <= steps <= schedule.T:
         raise ValueError(f"steps must lie in 0..{schedule.T}")

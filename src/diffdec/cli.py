@@ -4,7 +4,9 @@ Settings come from flags or from a flat ``key = value`` config file
 (``--config``); flags override file values.  Every artifact embeds its
 effective configuration as ``# key = value`` comment lines, and such an
 artifact can itself be passed back via ``--config`` to reproduce the run
-byte for byte.  The default worker count can be set with the
+byte for byte.  The flags that set a config dataclass field (TrainConfig,
+StopRule, the DecodeConfig grid) take their name, type and default from
+that field.  The default worker count can be set with the
 ``DIFFDEC_WORKERS`` environment variable.
 """
 
@@ -15,7 +17,9 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .diffusion import NoiseSchedule
 from .gf2 import BUILTIN_CODES, ParityCheckMatrix, builtin_code, load_alist, ml_decode_batch, \
     systematic_generator
 from .nn import load_checkpoint, save_checkpoint
+from .nn.model import BACKBONES
 from .training import TrainConfig, train
 
 _CONFIG_LINE = re.compile(r"^#?\s*([A-Za-z0-9_.-]+)\s+=\s+(.*)$")
@@ -71,6 +76,22 @@ def _echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
+def _add_fields(p: argparse.ArgumentParser, cls, skip=(), choices: dict | None = None):
+    """One ``--flag`` per field of the dataclass ``cls`` not in ``skip``, typed
+    and defaulted by the field."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in skip:
+            p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
+                           default=f.default, choices=(choices or {}).get(f.name))
+
+
+def _from_fields(cls, args, **given):
+    """The ``cls`` of the parsed flags that _add_fields declared, plus ``given`` fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given},
+               **given)
+
+
 def _add_code_args(p: argparse.ArgumentParser):
     p.add_argument("--code", default="hamming74",
                    help=f"built-in code name ({', '.join(sorted(BUILTIN_CODES))})")
@@ -86,9 +107,10 @@ def _resolve_code(args) -> tuple[ParityCheckMatrix, str]:
 
 def _add_decode_args(p: argparse.ArgumentParser, max_iters: bool = True):
     """The line-search grid flags and, unless ``max_iters`` is False, the step cap."""
-    p.add_argument("--ls-lo", type=float, default=1.0)
-    p.add_argument("--ls-hi", type=float, default=20.0)
-    p.add_argument("--ls-count", type=int, default=20)
+    lo, hi, count = DecodeConfig().ls_grid
+    p.add_argument("--ls-lo", type=float, default=lo)
+    p.add_argument("--ls-hi", type=float, default=hi)
+    p.add_argument("--ls-count", type=int, default=count)
     if max_iters:
         p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
 
@@ -137,18 +159,9 @@ def _bits_str(bits: np.ndarray) -> str:
 
 def _cmd_train(args) -> int:
     code, code_id = _resolve_code(args)
-    config = TrainConfig(
-        code=code_id, epochs=args.epochs, batches_per_epoch=args.batches_per_epoch,
-        batch_size=args.batch_size, lr0=args.lr0, lr_min=args.lr_min, seed=args.seed,
-        beta=args.beta, backbone=args.backbone, embed_dim=args.embed_dim,
-        layers=args.layers, hidden_mult=args.hidden_mult)
+    config = _from_fields(TrainConfig, args, code=code_id)
     model, report = train(config, code=code)
-    metadata = {
-        "code": code_id, "seed": str(config.seed), "epochs": str(config.epochs),
-        "batches_per_epoch": str(config.batches_per_epoch),
-        "batch_size": str(config.batch_size),
-        "lr0": repr(config.lr0), "lr_min": repr(config.lr_min),
-    }
+    metadata = {key: str(value) for key, value in asdict(config).items()}
     save_checkpoint(model, report.schedule, args.out, metadata)
     _write(args.report, artifact(
         "train", _echo(args), "epoch,mean_loss",
@@ -181,7 +194,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_bench(args) -> int:
     code, _ = _resolve_code(args)
-    stop = StopRule(args.min_words, args.min_error_frames, args.max_words)
+    stop = _from_fields(StopRule, args)
     model = schedule = None
     if args.decoder in ("ddecc", "ddecc-ls"):
         if not args.checkpoint:
@@ -244,17 +257,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("train", help="train a denoiser and write a checkpoint")
     _add_code_args(p)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batches-per-epoch", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr0", type=float, default=1e-4)
-    p.add_argument("--lr-min", type=float, default=5e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--backbone", default="mlp", choices=("mlp", "masked_attention"))
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden-mult", type=int, default=4)
+    _add_fields(p, TrainConfig, skip=("code",), choices={"backbone": BACKBONES})
     p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.add_argument("--report", default="-", help="loss-history CSV path ('-' = stdout)")
     p.set_defaults(func=_cmd_train)
@@ -273,9 +276,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_code_args(p)
     p.add_argument("--decoder", default="ml", choices=DECODER_KINDS)
     p.add_argument("--ebn0", default="4,5,6", help="comma-separated dB values")
-    p.add_argument("--min-words", type=int, default=10_000)
-    p.add_argument("--min-error-frames", type=int, default=100)
-    p.add_argument("--max-words", type=int, default=100_000)
+    _add_fields(p, StopRule)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=default_workers)
     p.add_argument("--checkpoint", default="")

@@ -40,28 +40,30 @@ def _as_bit_matrix(rows) -> np.ndarray:
     return raw.astype(np.uint8)
 
 
-def _row_ints(mat: np.ndarray) -> list[int]:
-    """Each row as a Python int with bit j = column j."""
-    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in mat]
+def _eliminate(mat: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+    """Gauss-Jordan elimination over GF(2), pivot columns searched right to left.
 
-
-def gf2_rank(rows: list[int], n_cols: int) -> int:
-    """Rank over GF(2) via Gaussian elimination on int bitsets."""
-    work = [r for r in rows if r]
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-        rank += 1
-        if rank == len(work):
+    Returns the reduced rows (in their original order) and ``{pivot column:
+    its row}``; the rank is the number of pivots.  Each pivot is the first
+    row not yet used that has a 1 in the column, and the column is cleared
+    in every other row.
+    """
+    work = np.array(mat, dtype=bool)
+    unused = np.ones(len(work), dtype=bool)
+    pivots: dict[int, int] = {}
+    for col in range(work.shape[1] - 1, -1, -1):
+        if not unused.any():
             break
-    return rank
+        hits = work[:, col].copy()
+        candidates = np.flatnonzero(hits & unused)
+        if len(candidates) == 0:
+            continue
+        row = int(candidates[0])
+        hits[row] = False
+        work[hits] ^= work[row]
+        unused[row] = False
+        pivots[col] = row
+    return work.astype(np.uint8), pivots
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -85,15 +87,13 @@ class ParityCheckMatrix:
             raise ValueError(f"need 0 < k < n, got n={n}, n-k={m}")
         if (mat.sum(axis=1) == 0).any():
             raise ValueError("parity-check matrix has an all-zero row")
-        ints = _row_ints(mat)
-        if gf2_rank(ints, n) != m:
+        if len(_eliminate(mat)[1]) != m:
             raise RankDeficiencyError(
                 f"parity-check matrix rank over GF(2) is below {m} (rows dependent)")
         mat.setflags(write=False)
         self.matrix = mat
         self.n = n
         self.k = n - m
-        self.row_ints = tuple(ints)
         self._packed = pack_bits(mat)  # (m, words) uint64
         self._packed.setflags(write=False)
         self.name = name or f"({n},{n - m})"
@@ -160,9 +160,8 @@ class GeneratorMatrix:
         self.matrix = matrix
         self.permutation = tuple(int(p) for p in permutation)
         self.k, self.n = matrix.shape
-        self._H = H
         self._codebook: np.ndarray | None = None
-        if gf2_rank(_row_ints(matrix), self.n) != self.k:
+        if len(_eliminate(matrix)[1]) != self.k:
             raise RankDeficiencyError("generator rows are linearly dependent")
         # G H^T = 0 checked exhaustively over every generator row; all 2^k
         # codewords follow by linearity.
@@ -185,32 +184,13 @@ def systematic_generator(H: ParityCheckMatrix) -> GeneratorMatrix:
     Pivots are searched right-to-left so that an H that already ends in an
     identity block yields the identity permutation.
     """
-    m, n = H.matrix.shape
-    rows = list(H.row_ints)
-    pivot_row_of_col: dict[int, int] = {}
-    assigned: set[int] = set()
-    for col in range(n - 1, -1, -1):
-        pivot = next((r for r in range(m) if r not in assigned and (rows[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        for r in range(m):
-            if r != pivot and (rows[r] >> col) & 1:
-                rows[r] ^= rows[pivot]
-        assigned.add(pivot)
-        pivot_row_of_col[col] = pivot
-        if len(assigned) == m:
-            break
-    if len(assigned) < m:
-        raise RankDeficiencyError("parity-check matrix is rank deficient")
-
+    n, k = H.n, H.k
+    reduced, pivot_row_of_col = _eliminate(H.matrix)  # full rank: n-k pivots
     pivot_cols = sorted(pivot_row_of_col)
     free_cols = [c for c in range(n) if c not in pivot_row_of_col]
     perm = np.array(free_cols + pivot_cols)  # H[:, perm] = [A | I]
-    reduced = np.array(
-        [[(rows[r] >> c) & 1 for c in range(n)] for r in range(m)], dtype=np.uint8)
     ordered = reduced[[pivot_row_of_col[c] for c in pivot_cols]]
-    A = ordered[:, free_cols]  # (m, k)
-    k = n - m
+    A = ordered[:, free_cols]  # (n-k, k)
     G_std = np.concatenate([np.eye(k, dtype=np.uint8), A.T], axis=1)
     G = np.zeros((k, n), dtype=np.uint8)
     G[:, perm] = G_std

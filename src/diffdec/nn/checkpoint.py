@@ -6,8 +6,8 @@ Layout (all integers little-endian):
     8 bytes   magic  b"DFDCKPT1"
     u32       format version (currently 2)
     u32       length of the config block
-    ...       config block: utf-8 "key = value" lines (arch, plus
-              ``meta.``-prefixed training metadata such as seed/epochs)
+    ...       config block: utf-8 "key = value" lines (one per ArchConfig
+              field, plus ``meta.``-prefixed training metadata)
     u32       number of arrays
     per array u16 name length | name utf-8 | u8 rank | u32 dims... |
               raw float64 little-endian values
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -44,19 +45,13 @@ class CheckpointError(ValueError):
 class Checkpoint:
     """A loaded checkpoint: the rebuilt model, its schedule and its metadata strings."""
 
-    version: int
     model: DenoiserModel
     schedule: NoiseSchedule
     metadata: dict[str, str]
 
 
 def _config_block(model: DenoiserModel, metadata: dict | None) -> str:
-    lines = [
-        f"backbone = {model.arch.backbone}",
-        f"embed_dim = {model.arch.embed_dim}",
-        f"layers = {model.arch.layers}",
-        f"hidden_mult = {model.arch.hidden_mult}",
-    ]
+    lines = [f"{f.name} = {getattr(model.arch, f.name)}" for f in fields(ArchConfig)]
     for key in sorted(metadata or {}):
         lines.append(f"meta.{key} = {metadata[key]}")
     return "\n".join(lines) + "\n"
@@ -122,10 +117,8 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
             key, val = line.split(" = ", 1)
             config[key.strip()] = val.strip()
     try:
-        arch = ArchConfig(backbone=config["backbone"],
-                          embed_dim=int(config["embed_dim"]),
-                          layers=int(config["layers"]),
-                          hidden_mult=int(config["hidden_mult"]))
+        types = get_type_hints(ArchConfig)
+        arch = ArchConfig(**{f.name: types[f.name](config[f.name]) for f in fields(ArchConfig)})
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"bad config block: {exc}") from None
     metadata = {key[5:]: val for key, val in config.items() if key.startswith("meta.")}
@@ -163,4 +156,4 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
     if expected != got:
         raise CheckpointError(
             f"parameter shapes do not match a ({stored.n},{stored.k}) {arch.backbone} model")
-    return Checkpoint(version, model, schedule, metadata)
+    return Checkpoint(model, schedule, metadata)

@@ -41,10 +41,6 @@ class Adam:
             v += (1 - b2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
 
 def cosine_lr(epoch: int, total: int, lr0: float = 1e-4, lr_min: float = 5e-6) -> float:
     """lr_min + 0.5 (lr0 - lr_min) (1 + cos(pi epoch/total)); no warmup."""

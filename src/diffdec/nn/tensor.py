@@ -50,9 +50,9 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        # ``grad`` may be shared (add hands one array to both parents, reshape
+        # a view), so it is kept as is and never added into in place.
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self):
         """Reverse-mode sweep from this (scalar) tensor."""

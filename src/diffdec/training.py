@@ -32,10 +32,11 @@ class TrainConfig:
     lr_min: float = 5e-6
     seed: int = 0
     beta: float = 0.01  # constant step variance; T is bound to n-k
-    backbone: str = "mlp"
-    embed_dim: int = 32
-    layers: int = 2
-    hidden_mult: int = 4
+    # the ArchConfig fields, flat so that each is one flag and one keyword
+    backbone: str = ArchConfig.backbone
+    embed_dim: int = ArchConfig.embed_dim
+    layers: int = ArchConfig.layers
+    hidden_mult: int = ArchConfig.hidden_mult
 
     def __post_init__(self):
         if min(self.epochs, self.batches_per_epoch, self.batch_size) < 0 or \
@@ -43,6 +44,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch counts positive")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        self.arch  # ArchConfig rejects a bad architecture here, not in train()
 
     @property
     def arch(self) -> ArchConfig:

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,9 @@ import diffdec.training
 from diffdec.cli import build_parser, main, read_config_file
 from diffdec.diffusion import NoiseSchedule
 from diffdec.gf2 import builtin_code
-from diffdec.nn import ArchConfig, DenoiserModel, load_checkpoint, save_checkpoint
+from diffdec.nn import ArchConfig, CheckpointError, DenoiserModel, load_checkpoint, \
+    save_checkpoint
+from diffdec.training import TrainConfig
 
 
 def run(capsys, *args) -> tuple[int, str]:
@@ -111,6 +114,33 @@ class TestTrainCli:
                      "--out", str(b_ckpt), "--report", str(b_rep)]) == 0
         assert a_ckpt.read_bytes() == b_ckpt.read_bytes()
         assert a_rep.read_bytes() == b_rep.read_bytes()
+
+    def test_checkpoint_metadata_records_every_train_config_field(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--code", "rep31", "--epochs", "0", "--lr0", "0.003",
+                     "--backbone", "masked_attention", "--embed-dim", "8", "--layers", "1",
+                     "--hidden-mult", "2", "--beta", "0.3",
+                     "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 0
+        config = TrainConfig(code="rep31", epochs=0, lr0=0.003, backbone="masked_attention",
+                             embed_dim=8, layers=1, hidden_mult=2, beta=0.3)
+        assert load_checkpoint(ckpt).metadata == {k: str(v) for k, v in asdict(config).items()}
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(ArchConfig)])
+    def test_architecture_block_lacking_a_field_rejected(self, tmp_path, capsys, field):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--code", "rep31", "--epochs", "0", "--embed-dim", "8",
+                     "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 0
+        body = ckpt.read_bytes()[:-4]
+        (block_len,) = struct.unpack("<I", body[12:16])
+        block = body[16:16 + block_len].decode()
+        lines = [line for line in block.splitlines(keepends=True)
+                 if not line.startswith(f"{field} = ")]
+        assert len(lines) == len(block.splitlines()) - 1  # meta.<field> lines are kept
+        new_block = "".join(lines).encode()
+        body = body[:12] + struct.pack("<I", len(new_block)) + new_block + body[16 + block_len:]
+        ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(ckpt)
 
     def test_checkpoint_stores_the_schedule_train_used(self, tmp_path, capsys, monkeypatch):
         reports = []

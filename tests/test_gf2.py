@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,11 +101,23 @@ class TestSystematicGenerator:
         assert G.permutation == tuple(range(7))
 
     def test_nontrivial_permutation_recorded_and_consistent(self):
-        # identity block on the left forces column moves
+        # pivots are searched right to left, so columns 3 and 4 take the
+        # pivots despite the identity block on the left
         H = ParityCheckMatrix([[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]])
         G = systematic_generator(H)
         assert sorted(G.permutation) == list(range(5))
         assert ((G.matrix @ H.matrix.T) % 2 == 0).all()
+        assert G.permutation == (0, 1, 2, 3, 4)
+        assert G.matrix.tolist() == [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1]]
+
+    def test_pseudo_ldpc_generator_and_permutation_pinned(self):
+        # pivots searched right to left fix the permutation and the reduced form
+        G = systematic_generator(pseudo_ldpc_49_24())
+        assert G.permutation == (*range(18), 19, 20, 22, 25, 29, 31,
+                                 18, 21, 23, 24, 26, 27, 28, 30, *range(32, 49))
+        assert G.matrix.shape == (24, 49)
+        assert hashlib.sha256(G.matrix.tobytes()).hexdigest() == \
+            "1b68f84c5cd84e441931d24ccfc52bc4f9dd4aea6da831984891a0424153a0fe"
 
     def test_unit_messages_reencode_to_generator_rows(self, ham74):
         G = systematic_generator(ham74)

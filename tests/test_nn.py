@@ -222,6 +222,21 @@ class TestBackward:
         assert not table_grad[other].any()
         assert table_grad[e].any()
 
+    @pytest.mark.parametrize("sum_first", [True, False])
+    def test_gradient_shared_by_add_is_not_added_into(self, sum_first):
+        # add hands one gradient array to both parents; a later gradient into
+        # one of them must not reach the other, whichever branch runs first
+        rng = np.random.default_rng(16)
+        a, b, c = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3))
+        targets = (rng.random((2, 3)) < 0.5).astype(float)
+        branches = [T.mul(T.add(a, b), c), T.mul(a, c)]
+        logits = T.add(*(branches if sum_first else branches[::-1]))
+        bce_with_logits_mean(logits, targets).backward()
+        g = (1 / (1 + np.exp(-logits.data)) - targets) / targets.size
+        assert np.allclose(a.grad, 2 * g * c.data, atol=1e-15)
+        assert np.allclose(b.grad, g * c.data, atol=1e-15)
+        assert np.allclose(c.grad, g * (2 * a.data + b.data), atol=1e-15)
+
     def test_linear_layer_gradient_is_outer_product(self):
         rng = np.random.default_rng(14)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)

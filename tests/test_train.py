@@ -50,6 +50,14 @@ class TestTrainingStep:
         assert abs(loss - np.log(2)) < 0.2 * np.log(2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("arch", [{"backbone": "bogus"}, {"embed_dim": 0},
+                                      {"layers": -1}, {"hidden_mult": 0}])
+    def test_bad_architecture_rejected_at_construction(self, arch):
+        with pytest.raises(ValueError):
+            TrainConfig(**arch)
+
+
 class TestTrain:
     def test_zero_epochs_returns_initialized_model_and_empty_history(self, rep31):
         cfg = TrainConfig(code="rep31", epochs=0, backbone="mlp", embed_dim=8, layers=1)
