@@ -5,51 +5,55 @@ All LLRs saturate at +-30: the channel LLRs 2y/sigma^2 on input (so a
 saturated channel observation can still be overturned by its checks) and
 the check-node tanh rule inside tanh/atanh as an overflow guard.  Decoding
 exits early once the hard decisions satisfy all checks.  Messages live in
-flat edge arrays; per-node reductions use ``np.add.reduceat`` over row-
-and column-sorted edge orderings.
+(B, m*d_c) slots, slot c*d_c + j on the edge of check c and its j-th bit
+``H.check_cols[c, j]``; a check below the largest degree d_c has pad slots.
+A check message is 2 atanh of the product of tanh(msg/2) over the other
+slots of its check, pads counting as 1: a prefix times a suffix product
+along d_c, taken on a (d_c, B, m) copy so that each step is one contiguous
+block.  Each bit sums its slots through an (n, d_v) index padded with one
+extra slot holding zero, which also serves bits in no check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import ParityCheckMatrix, hard_decision, single_word, word_batch
+from .gf2 import ParityCheckMatrix, hard_decision, padded_support, single_word, word_batch
 
 LLR_CLAMP = 30.0
 _ATANH_EPS = 1e-15
 
 
 class TannerGraph:
-    """Edge-list view of H: one edge per set bit, with both sort orders."""
+    """Check-slot view of H: the bit each slot reads and the slots each bit sums."""
 
     def __init__(self, H: ParityCheckMatrix):
-        rows, cols = np.nonzero(H.matrix)  # row-major: sorted by (row, col)
-        self.edge_row = rows
-        self.edge_col = cols
-        self.num_edges = len(rows)
-        row_deg = H.matrix.sum(axis=1)
-        self.row_ptr = np.concatenate([[0], np.cumsum(row_deg)]).astype(np.int64)
-        self.col_order = np.lexsort((rows, cols))  # edges sorted by (col, row)
-        col_deg = H.matrix.sum(axis=0)
-        # reduceat cannot sum an empty segment, so the per-bit sums run over
-        # the bits that sit in some check; a slice when that is every bit
-        checked = np.flatnonzero(col_deg)
-        self.col_start = (np.cumsum(col_deg) - col_deg)[checked].astype(np.int64)
-        self.checked = slice(None) if len(checked) == H.n else checked
+        cols = H.check_cols.ravel()
+        self.check_shape = H.check_cols.shape  # (m, d_c)
+        self.num_slots = cols.size
+        self.pad = np.flatnonzero(cols == H.n)
+        self.slot_col = np.where(cols == H.n, 0, cols)  # a pad reads bit 0, then counts as 1
+        # (n, d_v): each bit's slots, padded with the zero slot num_slots
+        self.bit_slots = padded_support(cols == np.arange(H.n)[:, None], self.num_slots)
 
 
 def check_update(messages: np.ndarray, graph: TannerGraph) -> np.ndarray:
-    """Tanh-rule check-node update on (B, E) variable-to-check messages."""
-    t = np.tanh(np.clip(messages, -LLR_CLAMP, LLR_CLAMP) / 2.0)
-    mag = np.log(np.maximum(np.abs(t), 1e-300))
-    neg = (t < 0).astype(np.int64)
-    sum_mag = np.add.reduceat(mag, graph.row_ptr[:-1], axis=-1)
-    sum_neg = np.add.reduceat(neg, graph.row_ptr[:-1], axis=-1)
-    ex_mag = sum_mag[..., graph.edge_row] - mag
-    ex_neg = sum_neg[..., graph.edge_row] - neg
-    prod = np.exp(ex_mag) * np.where(ex_neg % 2 == 1, -1.0, 1.0)
-    out = 2.0 * np.arctanh(np.clip(prod, -1.0 + _ATANH_EPS, 1.0 - _ATANH_EPS))
-    return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
+    """Tanh-rule check-node update on (B, m*d_c) variable-to-check slot messages."""
+    out = np.clip(messages, -LLR_CLAMP, LLR_CLAMP)
+    out /= 2.0
+    by_position = out.reshape((len(out),) + graph.check_shape).transpose(2, 0, 1)
+    t = np.tanh(by_position, order="C")
+    t[graph.pad % len(t), :, graph.pad // len(t)] = 1.0
+    prod = np.empty_like(t)  # position j: the product over positions before j, then after j
+    prod[0] = 1.0
+    for j in range(1, len(t)):
+        np.multiply(prod[j - 1], t[j - 1], out=prod[j])
+    for j in range(len(t) - 2, -1, -1):  # t[j] becomes the product over positions from j on
+        prod[j] *= t[j + 1]
+        t[j] *= t[j + 1]
+    np.arctanh(np.clip(prod, -1.0 + _ATANH_EPS, 1.0 - _ATANH_EPS, out=prod), out=by_position)
+    out *= 2.0
+    return np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out)
 
 
 def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int = 50,
@@ -59,22 +63,21 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
         raise ValueError(f"sigma must be positive, got {sigma}")
     graph = graph or TannerGraph(H)
     Y = word_batch(Y, H.n)
-    B = len(Y)
     llr = np.clip(2.0 * Y / sigma**2, -LLR_CLAMP, LLR_CLAMP)
     bits = hard_decision(llr)
     posterior = llr.copy()
-    iters = np.zeros(B, dtype=np.int64)
+    iters = np.zeros(len(Y), dtype=np.int64)
     done = H.syndrome_bits(bits).sum(axis=-1) == 0
     alive = np.flatnonzero(~done)
-    m_vc = llr[alive][:, graph.edge_col]
     llr_alive = llr[alive]
+    m_vc = llr_alive[:, graph.slot_col]
     for it in range(1, max_iters + 1):
         if alive.size == 0:
             break
         m_cv = check_update(m_vc, graph)
-        post = llr_alive.copy()
-        post[:, graph.checked] += np.add.reduceat(m_cv[:, graph.col_order], graph.col_start, axis=-1)
-        m_vc = post[:, graph.edge_col] - m_cv
+        with_zero = np.concatenate([m_cv, np.zeros((len(m_cv), 1))], axis=1)
+        post = llr_alive + with_zero[:, graph.bit_slots].sum(axis=-1)
+        m_vc = post[:, graph.slot_col] - m_cv
         hard = hard_decision(post)
         ok = H.syndrome_bits(hard).sum(axis=-1) == 0
         bits[alive] = hard
@@ -82,8 +85,7 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
         iters[alive] = it
         if ok.any():
             done[alive[ok]] = True
-            keep = ~ok
-            alive, m_vc, llr_alive = alive[keep], m_vc[keep], llr_alive[keep]
+            alive, m_vc, llr_alive = alive[~ok], m_vc[~ok], llr_alive[~ok]
     return bits, done, iters, posterior
 
 

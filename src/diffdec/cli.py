@@ -6,13 +6,15 @@ effective configuration as ``# key = value`` comment lines, and such an
 artifact can itself be passed back via ``--config`` to reproduce the run
 byte for byte.  The flags that set a config dataclass field (TrainConfig,
 StopRule, the DecodeConfig grid) take their name, type and default from
-that field.  The default worker count can be set with the
+that field, and those of ``bench`` that pass a ``run_ber`` keyword take its
+default.  The default worker count can be set with the
 ``DIFFDEC_WORKERS`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import re
@@ -277,11 +279,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--decoder", default="ml", choices=DECODER_KINDS)
     p.add_argument("--ebn0", default="4,5,6", help="comma-separated dB values")
     _add_fields(p, StopRule)
-    p.add_argument("--seed", type=int, default=0)
+    run_ber_args = inspect.signature(run_ber).parameters
+    p.add_argument("--seed", type=int, default=run_ber_args["seed"].default)
     p.add_argument("--workers", type=int, default=default_workers)
     p.add_argument("--checkpoint", default="")
-    p.add_argument("--bp-iters", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=1024)
+    p.add_argument("--bp-iters", type=int, default=run_ber_args["bp_iters"].default)
+    p.add_argument("--batch-size", type=int, default=run_ber_args["batch_size"].default)
     _add_decode_args(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)

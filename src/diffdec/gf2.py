@@ -9,10 +9,6 @@ Conventions used throughout the package:
 * the hard decision of a real vector ``y`` is ``bin(y) = 0.5*(1 - sign(y))``
   with ``sign(0) := +1`` so that ``bin(0) = 0`` (deterministic);
 * the syndrome of ``y`` is ``H @ bin(y)`` over GF(2).
-
-Parity-check rows are additionally kept bit-packed into 64-bit words so that
-syndrome computation in the Monte-Carlo hot loops is a word-wise AND plus a
-popcount (``np.bitwise_count``).
 """
 
 from __future__ import annotations
@@ -66,15 +62,13 @@ def _eliminate(mat: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     return work.astype(np.uint8), pivots
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack 0/1 arrays along the last axis into little-endian uint64 words."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    n = bits.shape[-1]
-    n_words = (n + 63) // 64
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    out = np.zeros(bits.shape[:-1] + (n_words * 8,), dtype=np.uint8)
-    out[..., : packed.shape[-1]] = packed
-    return out.view(np.uint64)
+def padded_support(mask: np.ndarray, fill: int) -> np.ndarray:
+    """(rows, largest row weight): each row's nonzero columns in order, then ``fill``."""
+    rows, cols = np.nonzero(mask)
+    weight = np.count_nonzero(mask, axis=1)
+    table = np.full((len(mask), weight.max()), fill, dtype=np.intp)
+    table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(weight) - weight, weight)] = cols
+    return table
 
 
 class ParityCheckMatrix:
@@ -94,8 +88,9 @@ class ParityCheckMatrix:
         self.matrix = mat
         self.n = n
         self.k = n - m
-        self._packed = pack_bits(mat)  # (m, words) uint64
-        self._packed.setflags(write=False)
+        # (m, d_c): each check's bits, padded to the largest degree with n, a zero column
+        self.check_cols = padded_support(mat, n)
+        self.check_cols.setflags(write=False)
         self.name = name or f"({n},{n - m})"
 
     @property
@@ -106,18 +101,13 @@ class ParityCheckMatrix:
         return f"ParityCheckMatrix(n={self.n}, k={self.k}, name={self.name!r})"
 
     def syndrome_bits(self, hard: np.ndarray) -> np.ndarray:
-        """Syndrome of hard-decision bit vectors.
-
-        ``hard`` has shape (..., n); returns 0/1 uint8 of shape (..., n-k).
-        Uses the packed-word popcount path.
-        """
+        """Syndrome (..., n-k) uint8 of (..., n) 0/1 bits: each check's bits, gathered
+        through ``check_cols``, summed in uint8 (which wraps at 256, keeping parity)."""
         hard = np.asarray(hard, dtype=np.uint8)
         if hard.shape[-1] != self.n:
             raise ValueError(f"expected length-{self.n} bit vectors, got {hard.shape}")
-        y_words = pack_bits(hard)  # (..., W)
-        anded = self._packed[(np.newaxis,) * (y_words.ndim - 1)] & y_words[..., np.newaxis, :]
-        counts = np.bitwise_count(anded).sum(axis=-1)
-        return (counts & 1).astype(np.uint8)
+        padded = np.concatenate([hard, np.zeros(hard.shape[:-1] + (1,), np.uint8)], axis=-1)
+        return padded[..., self.check_cols].sum(axis=-1, dtype=np.uint8) & 1
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))  # step allocates none
+                         for name, p in params.items()}
 
     def step(self, lr: float):
         self.t += 1
@@ -33,13 +35,15 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-            m = self.m[name]
-            v = self.v[name]
+            m, v, (a, b) = self.m[name], self.v[name], self._scratch[name]
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=a)
             v *= b2
-            v += (1 - b2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(np.multiply(1 - b2, g, out=a), g, out=a)
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            p.data -= np.divide(a, b, out=a)
 
 
 def cosine_lr(epoch: int, total: int, lr0: float = 1e-4, lr_min: float = 5e-6) -> float:

@@ -1,22 +1,70 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode, bp_decode_batch, check_update
 from diffdec.channel import awgn_batch, bpsk, make_rng
 from diffdec.gf2 import Codeword, ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome
+from oracles import codes
+
+# codes whose checks have unequal degrees, some with bits in no check
+UNEQUAL_ROWS = [
+    [[1, 1, 1, 1, 0], [0, 0, 0, 1, 1]],
+    [[1, 1, 1, 0], [0, 1, 1, 0]],  # last bit unchecked
+    [[0, 1, 1, 1], [0, 0, 1, 1]],  # first bit unchecked
+    [[1, 1, 1, 1, 1, 0], [0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 0, 1]],
+]
+
+
+def edge_slots(graph: TannerGraph) -> np.ndarray:
+    """The slots that carry an edge, in check-major order."""
+    return np.setdiff1d(np.arange(graph.num_slots), graph.pad)
+
+
+def one_iteration_posterior(H: ParityCheckMatrix, llr: np.ndarray) -> np.ndarray:
+    """llr_v + sum over checks c of v of 2 atanh(prod over the other bits v' of c
+    of tanh(llr_v' / 2)), one word and one check at a time.  The empty product
+    of a degree-one check is 1, whose infinite message saturates at the clamp."""
+    post = llr.astype(float)
+    for c in range(H.num_checks):
+        bits = np.flatnonzero(H.matrix[c])
+        for v in bits:
+            prod = math.prod(math.tanh(llr[u] / 2) for u in bits if u != v)
+            post[v] += LLR_CLAMP if prod == 1.0 else 2 * math.atanh(prod)
+    return post
 
 
 class TestTannerGraph:
     def test_edge_count_equals_set_bits(self, ham74):
         g = TannerGraph(ham74)
-        assert g.num_edges == int(ham74.matrix.sum())
+        assert g.num_slots - len(g.pad) == int(ham74.matrix.sum())
 
     def test_adjacency_is_exactly_the_support(self, ham74):
         g = TannerGraph(ham74)
+        edges = edge_slots(g)
+        row, col = edges // g.check_shape[1], g.slot_col[edges]
         for r in range(ham74.num_checks):
-            assert np.array_equal(g.edge_col[g.edge_row == r], np.flatnonzero(ham74.matrix[r]))
+            assert np.array_equal(col[row == r], np.flatnonzero(ham74.matrix[r]))
         for c in range(ham74.n):
-            assert np.array_equal(g.edge_row[g.edge_col == c], np.flatnonzero(ham74.matrix[:, c]))
+            assert np.array_equal(row[col == c], np.flatnonzero(ham74.matrix[:, c]))
+
+    @pytest.mark.parametrize("rows", UNEQUAL_ROWS)
+    def test_slots_of_unequal_checks_pad_to_the_largest_degree(self, rows):
+        H = ParityCheckMatrix(rows)
+        g = TannerGraph(H)
+        degrees = H.matrix.sum(axis=1)
+        assert g.check_shape == (H.num_checks, degrees.max())
+        assert len(g.pad) == int((degrees.max() - degrees).sum())
+        edges = edge_slots(g)
+        row, col = edges // g.check_shape[1], g.slot_col[edges]
+        assert np.array_equal(H.matrix[row, col], np.ones(len(edges)))
+        # each bit lists its own slots in check order, then the zero slot
+        for v in range(H.n):
+            listed = g.bit_slots[v]
+            assert np.array_equal(listed[listed < g.num_slots], edges[col == v])
+            assert (listed[H.matrix[:, v].sum():] == g.num_slots).all()
 
 
 class TestCheckUpdate:
@@ -24,7 +72,7 @@ class TestCheckUpdate:
         H = ParityCheckMatrix([[1, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
         g = TannerGraph(H)
         rng = np.random.default_rng(0)
-        m = rng.normal(0, 2, (1, g.num_edges))
+        m = rng.normal(0, 2, (1, g.num_slots))
         out = check_update(m, g)
         # permute the first check's four incoming messages
         perm = np.array([2, 0, 3, 1])
@@ -35,13 +83,13 @@ class TestCheckUpdate:
 
     def test_magnitudes_bounded_by_clamp(self, ham74):
         g = TannerGraph(ham74)
-        m = np.full((3, g.num_edges), 1e9)
+        m = np.full((3, g.num_slots), 1e9)
         out = check_update(m, g)
         assert (np.abs(out) <= LLR_CLAMP).all()
 
     def test_degree_two_check_passes_the_other_message_through(self, rep31):
         g = TannerGraph(rep31)
-        m = np.array([[1.7, -0.4, 0.9, 2.2]])  # edges (0,0),(0,1),(1,0),(1,2)
+        m = np.array([[1.7, -0.4, 0.9, 2.2]])  # slots (check, bit) (0,0),(0,1),(1,0),(1,2)
         out = check_update(m, g)
         assert out[0, 0] == pytest.approx(-0.4, abs=1e-9)
         assert out[0, 1] == pytest.approx(1.7, abs=1e-9)
@@ -111,10 +159,37 @@ class TestBpDecode:
         _, _, iters, post = bp_decode_batch(H, y, 0.8, max_iters=1)
         assert iters[0] == 1
         llr = 2 * y / 0.8**2
-        m_cv = check_update(llr[:, g.edge_col], g)
-        incidence = np.zeros((g.num_edges, H.n))
-        incidence[np.arange(g.num_edges), g.edge_col] = 1.0
+        m_cv = check_update(llr[:, g.slot_col], g)
+        edges = edge_slots(g)
+        incidence = np.zeros((g.num_slots, H.n))
+        incidence[edges, g.slot_col[edges]] = 1.0
         assert post == pytest.approx(llr + m_cv @ incidence, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def assert_one_iteration_matches_per_check_loop(H, Y, sigma):
+        _, _, iters, post = bp_decode_batch(H, Y, sigma, max_iters=1)
+        llr = 2 * Y / sigma**2
+        for word in range(len(Y)):
+            # a word whose hard decision is a codeword exits before iterating
+            if syndrome(H, Y[word]).weight == 0:
+                assert iters[word] == 0
+                assert np.array_equal(post[word], llr[word])
+            else:
+                assert iters[word] == 1
+                expected = one_iteration_posterior(H, llr[word])
+                assert post[word] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes())
+    def test_one_iteration_posterior_equals_per_check_loop_on_random_codes(self, code_and_rng):
+        H, rng = code_and_rng
+        self.assert_one_iteration_matches_per_check_loop(H, rng.normal(0, 1.2, (4, H.n)), 0.8)
+
+    @pytest.mark.parametrize("rows", UNEQUAL_ROWS)
+    def test_one_iteration_posterior_equals_per_check_loop_on_unequal_checks(self, rows):
+        H = ParityCheckMatrix(rows)
+        rng = np.random.default_rng(7)
+        self.assert_one_iteration_matches_per_check_loop(H, rng.normal(0, 1.2, (16, H.n)), 0.8)
 
     @pytest.mark.parametrize("word", [[np.nan, 1.0, 1.0], [np.inf, -np.inf, 1.0]])
     def test_non_finite_word_rejected(self, rep31, word):

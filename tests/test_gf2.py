@@ -9,7 +9,7 @@ from diffdec.channel import bpsk
 from diffdec.gf2 import (AlistFormatError, ParityCheckMatrix, RankDeficiencyError, builtin_code,
                          encode, encode_batch, load_alist, ml_decode, ml_decode_batch,
                          syndrome, systematic_generator, to_alist)
-from oracles import HAMMING74_ALIST, pseudo_ldpc_49_24
+from oracles import HAMMING74_ALIST, codes, pseudo_ldpc_49_24
 
 
 class TestAlist:
@@ -77,12 +77,31 @@ class TestParityCheckMatrix:
         with pytest.raises(RankDeficiencyError):
             ParityCheckMatrix([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
 
-    def test_packed_syndrome_matches_matmul_on_wide_code(self):
+    def test_gathered_syndrome_matches_matmul_on_wide_code(self):
         H = pseudo_ldpc_49_24()
         rng = np.random.default_rng(1)
         bits = (rng.random((200, 49)) < 0.5).astype(np.uint8)
         ref = (bits @ H.matrix.T) % 2
         assert np.array_equal(H.syndrome_bits(bits), ref)
+
+    def test_syndrome_of_a_check_over_more_than_255_bits(self):
+        # the per-check sum is uint8 and wraps at 256, which keeps its parity
+        H = ParityCheckMatrix([[1] * 299 + [0], [0] * 299 + [1]])
+        bits = np.zeros((3, 300), dtype=np.uint8)
+        bits[0, :256] = 1
+        bits[1, :257] = 1
+        bits[2, :] = 1
+        assert np.array_equal(H.syndrome_bits(bits), [[0, 0], [1, 0], [1, 1]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes(), st.integers(1, 5), st.integers(1, 4))
+    def test_syndrome_bits_equals_matmul_mod_two(self, code_and_rng, words, candidates):
+        H, rng = code_and_rng
+        for shape in ((words, H.n), (words, candidates, H.n)):
+            bits = rng.integers(0, 2, shape, dtype=np.uint8)
+            out = H.syndrome_bits(bits)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, (bits.astype(np.int64) @ H.matrix.T) % 2)
 
 
 class TestSystematicGenerator:
