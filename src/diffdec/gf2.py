@@ -71,6 +71,14 @@ def padded_support(mask: np.ndarray, fill: int) -> np.ndarray:
     return table
 
 
+def _gathered_parity(bits: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """(..., rows) uint8 parity of (..., width) 0/1 bits over each row of ``support``
+    (a :func:`padded_support` table filled with ``width``, a zero column), summed
+    in uint8, which wraps at 256 and so keeps the parity."""
+    padded = np.concatenate([bits, np.zeros(bits.shape[:-1] + (1,), np.uint8)], axis=-1)
+    return padded[..., support].sum(axis=-1, dtype=np.uint8) & 1
+
+
 class ParityCheckMatrix:
     """Binary (n-k) x n parity-check matrix H with full row rank."""
 
@@ -102,12 +110,11 @@ class ParityCheckMatrix:
 
     def syndrome_bits(self, hard: np.ndarray) -> np.ndarray:
         """Syndrome (..., n-k) uint8 of (..., n) 0/1 bits: each check's bits, gathered
-        through ``check_cols``, summed in uint8 (which wraps at 256, keeping parity)."""
+        through ``check_cols``."""
         hard = np.asarray(hard, dtype=np.uint8)
         if hard.shape[-1] != self.n:
             raise ValueError(f"expected length-{self.n} bit vectors, got {hard.shape}")
-        padded = np.concatenate([hard, np.zeros(hard.shape[:-1] + (1,), np.uint8)], axis=-1)
-        return padded[..., self.check_cols].sum(axis=-1, dtype=np.uint8) & 1
+        return _gathered_parity(hard, self.check_cols)
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,9 @@ class GeneratorMatrix:
         self.matrix = matrix
         self.permutation = tuple(int(p) for p in permutation)
         self.k, self.n = matrix.shape
+        # (n, largest column weight): the message bits of each code bit, padded with k
+        self.msg_rows = padded_support(matrix.T, self.k)
+        self.msg_rows.setflags(write=False)
         self._codebook: np.ndarray | None = None
         if len(_eliminate(matrix)[1]) != self.k:
             raise RankDeficiencyError("generator rows are linearly dependent")
@@ -163,7 +173,7 @@ class GeneratorMatrix:
         if self._codebook is None:
             idx = np.arange(1 << self.k, dtype=np.uint32)
             msgs = ((idx[:, None] >> np.arange(self.k)) & 1).astype(np.uint8)
-            self._codebook = (msgs @ self.matrix) % 2
+            self._codebook = encode_batch(self, msgs)
             self._codebook.setflags(write=False)
         return self._codebook
 
@@ -196,11 +206,12 @@ def encode(G: GeneratorMatrix, message) -> Codeword:
 
 
 def encode_batch(G: GeneratorMatrix, messages: np.ndarray) -> np.ndarray:
-    """Encode a (B, k) batch of messages to (B, n) codeword bits."""
+    """Encode a (B, k) batch of messages to (B, n) codeword bits: each code bit is
+    the parity of its message bits, gathered through ``G.msg_rows``."""
     msgs = np.asarray(messages, dtype=np.uint8)
     if msgs.ndim != 2 or msgs.shape[1] != G.k:
         raise ValueError(f"expected (B, {G.k}) messages, got shape {msgs.shape}")
-    return (msgs @ G.matrix) % 2
+    return _gathered_parity(msgs, G.msg_rows)
 
 
 def hard_decision(y: np.ndarray) -> np.ndarray:
@@ -321,7 +332,8 @@ def load_alist(text: str, name: str = "") -> ParityCheckMatrix:
 
 
 def to_alist(H: ParityCheckMatrix) -> str:
-    """Serialize H to alist text (inverse of load_alist, no padding)."""
+    """Serialize H to alist text (inverse of load_alist).  Lists are unpadded; a
+    bit in no check gets the neighbor list ``0``, which the reader skips."""
     mat = H.matrix
     m, n = mat.shape
     cols = [np.flatnonzero(mat[:, c]) + 1 for c in range(n)]
@@ -332,7 +344,7 @@ def to_alist(H: ParityCheckMatrix) -> str:
         " ".join(str(len(c)) for c in cols),
         " ".join(str(len(r)) for r in rows),
     ]
-    lines += [" ".join(map(str, c)) for c in cols]
+    lines += [" ".join(map(str, c)) if len(c) else "0" for c in cols]
     lines += [" ".join(map(str, r)) for r in rows]
     return "\n".join(lines) + "\n"
 

@@ -123,8 +123,9 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcasted gradient back down to the operand's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    extra = grad.ndim - len(shape)
+    if extra:  # every leading axis in one sum, e.g. a bias over (B, s, w)
+        grad = grad.reshape((-1,) + grad.shape[extra:]).sum(axis=0)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -168,8 +169,13 @@ def matmul(a, b) -> Tensor:
             ga = grad @ b.data.swapaxes(-1, -2)
             a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ grad
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            if b.data.ndim == 2 < a.data.ndim:
+                # one GEMM over all leading rows, not a (..., K, N) product and its sum
+                k, n = b.data.shape
+                b._accumulate(a.data.reshape(-1, k).T @ grad.reshape(-1, n))
+            else:
+                gb = a.data.swapaxes(-1, -2) @ grad
+                b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -256,13 +262,16 @@ def gather_rows(table, idx) -> Tensor:
 def softmax_last(a) -> Tensor:
     """Softmax over the last axis; -inf entries get exactly zero weight."""
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward(grad):
-        inner = (grad * s).sum(axis=-1, keepdims=True)
-        a._accumulate(s * (grad - inner))
+        out = np.multiply(grad, s)
+        inner = out.sum(axis=-1, keepdims=True)
+        out = np.subtract(grad, inner, out=out)
+        out *= s
+        a._accumulate(out)
 
     return _make(s, (a,), backward)
 
@@ -272,17 +281,41 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(a) -> Tensor:
     """Smooth GELU (tanh approximation); smoothness keeps finite-difference
-    gradient checks well-conditioned."""
+    gradient checks well-conditioned.
+
+    Forward and backward run in place on one or two scratch arrays, each step
+    in the order of the plain formulas in the comments, so the results are
+    bit-identical to them."""
     a = _wrap(a)
     x = a.data
-    u = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would go through pow
-    th = np.tanh(u)
-    data = 0.5 * x * (1.0 + th)
+    # th = tanh(C * (x + 0.044715 * (x * x * x))); x**3 would go through pow
+    th = np.multiply(x, x)
+    th *= x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    # data = 0.5 * x * (1.0 + th)
+    data = np.multiply(x, 0.5)
+    data *= np.add(th, 1.0)
 
     def backward(grad):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
-        a._accumulate(grad * local)
+        # grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),
+        # du = C * (1.0 + 3 * 0.044715 * (x * x))
+        du = np.multiply(x, x)
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        tail = np.multiply(th, th)
+        np.subtract(1.0, tail, out=tail)
+        local = np.multiply(x, 0.5)
+        tail *= local
+        tail *= du
+        np.add(th, 1.0, out=local)
+        local *= 0.5
+        local += tail
+        local *= grad
+        a._accumulate(local)
 
     return _make(data, (a,), backward)
 
@@ -293,11 +326,13 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     x = a.data
     d = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    data = np.square(xhat)
+    var = data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def backward(grad):
         if gain.requires_grad:
@@ -305,10 +340,16 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(grad, bias.data.shape))
         if a.requires_grad:
+            # (inv / d) * (d * dxhat - gsum - xhat * gdot), dxhat = grad * gain
             dxhat = grad * gain.data
             gsum = dxhat.sum(axis=-1, keepdims=True)
-            gdot = (dxhat * xhat).sum(axis=-1, keepdims=True)
-            a._accumulate((inv / d) * (d * dxhat - gsum - xhat * gdot))
+            scratch = dxhat * xhat
+            gdot = scratch.sum(axis=-1, keepdims=True)
+            dxhat *= d
+            dxhat -= gsum
+            dxhat -= np.multiply(xhat, gdot, out=scratch)
+            dxhat *= inv / d
+            a._accumulate(dxhat)
 
     return _make(data, (a, gain, bias), backward)
 

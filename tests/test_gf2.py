@@ -62,6 +62,18 @@ class TestAlist:
         again = load_alist(to_alist(H))
         assert np.array_equal(H.matrix, again.matrix)
 
+    def test_bit_in_no_check_roundtrips(self):
+        H = ParityCheckMatrix([[0, 1, 1, 0], [0, 0, 1, 1]])
+        text = to_alist(H)
+        assert text.splitlines()[4] == "0"
+        assert np.array_equal(load_alist(text).matrix, H.matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes())
+    def test_roundtrip_through_writer_on_random_codes(self, code_and_rng):
+        H = code_and_rng[0]
+        assert np.array_equal(load_alist(to_alist(H)).matrix, H.matrix)
+
 
 class TestParityCheckMatrix:
     def test_rejects_zero_row(self):
@@ -279,6 +291,16 @@ class TestExhaustiveCodeInvariants:
             book = G.codebook()
             assert not H.syndrome_bits(book).any()
             assert len(book) == 2 ** H.k
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes(), st.integers(0, 40))
+    def test_encode_batch_equals_matmul_mod_two(self, code_and_rng, batch):
+        H, rng = code_and_rng
+        G = systematic_generator(H)
+        msgs = rng.integers(0, 2, size=(batch, G.k), dtype=np.uint8)
+        got = encode_batch(G, msgs)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, (msgs.astype(np.int64) @ G.matrix) % 2)
 
     def test_encode_batch_agrees_with_encode(self, ham74_gen):
         msgs = np.array([[1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from diffdec.nn import tensor as T
 from diffdec.nn.tensor import Tensor
 from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
 
+# Parameter gradients of _reference_case_grads as computed before the weight
+# gradient of a batched input took one GEMM and GELU, softmax and layer norm
+# ran in place; regenerate only for a deliberate change of the arithmetic.
+GRAD_REFERENCE = Path(__file__).parent / "data" / "grad_reference.npz"
 SCHED74 = NoiseSchedule.constant(0.01, 3)
 ARCHS = {
     "mlp": ArchConfig("mlp", embed_dim=8, layers=2),
@@ -174,6 +179,99 @@ class TestGroupedMatmul:
         assert not tables.grad[:, 1].any()
 
 
+def _loss_of(out: Tensor, probe: np.ndarray) -> Tensor:
+    """sum(out * probe) as a scalar root, so the gradient reaching ``out`` is ``probe`` exactly."""
+    flat = T.reshape(T.mul(out, probe), (1, -1))
+    return T.matmul(flat, np.ones((probe.size, 1)))
+
+
+class TestMatmulWeightGradient:
+    @pytest.mark.parametrize("lead", [(6,), (3, 4)])
+    def test_shared_weight_gradient_sums_the_per_matrix_products(self, lead):
+        rng = np.random.default_rng(41)
+        a = Tensor(rng.normal(size=lead + (5, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        probe = rng.normal(size=lead + (5, 3))
+        _loss_of(T.matmul(a, w), probe).backward()
+        want = sum(a.data[i].T @ probe[i] for i in np.ndindex(*lead))
+        assert np.abs(w.grad - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(a.grad, probe @ w.data.T)  # the input gradient stays batched
+
+    def test_batched_weight_gradient_stays_per_matrix(self):
+        # the attention scores: 3-D @ 3-D, one product per batch entry
+        rng = np.random.default_rng(42)
+        a = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 6, 5)), requires_grad=True)
+        probe = rng.normal(size=(4, 5, 5))
+        _loss_of(T.matmul(a, b), probe).backward()
+        assert np.array_equal(b.grad, a.data.swapaxes(-1, -2) @ probe)
+        assert np.array_equal(a.grad, probe @ b.data.swapaxes(-1, -2))
+
+    def test_broadcast_batched_weight_gradient_is_summed(self):
+        rng = np.random.default_rng(43)
+        a = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 6, 3)), requires_grad=True)
+        probe = rng.normal(size=(4, 5, 3))
+        _loss_of(T.matmul(a, b), probe).backward()
+        want = sum(a.data[i].T @ probe[i] for i in range(4))[None]
+        assert b.grad.shape == (1, 6, 3)
+        assert np.abs(b.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestInPlaceOps:
+    """The scratch-array forms give the plain formulas' results bit for bit."""
+
+    def _inputs(self, shape):
+        rng = np.random.default_rng(44)
+        x = rng.normal(0, 3, shape)
+        x[0, 0, :4] = (0.0, -0.0, 40.0, -40.0)
+        return x, rng.normal(size=shape)
+
+    def test_gelu_forward_and_backward(self):
+        x, probe = self._inputs((32, 10, 64))  # large enough for the cube's rounding to show
+        c = np.sqrt(2.0 / np.pi)
+        th = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        du = c * (1.0 + 3 * 0.044715 * (x * x))
+        t = Tensor(x, requires_grad=True)
+        out = T.gelu(t)
+        assert np.array_equal(out.data, 0.5 * x * (1.0 + th))
+        # np.power's cube is rounded once, the product's twice: equal to within an ulp or so
+        assert np.abs(out.data - _gelu_reference(x)).max() <= 1e-15 * np.abs(x).max()
+        _loss_of(out, probe).backward()
+        assert np.array_equal(t.grad, probe * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du))
+
+    def test_softmax_forward_and_backward(self):
+        x, probe = self._inputs((6, 5, 8))
+        x[..., 1] = -np.inf  # a masked position
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
+        t = Tensor(x, requires_grad=True)
+        out = T.softmax_last(t)
+        assert np.array_equal(out.data, s)
+        _loss_of(out, probe).backward()
+        assert np.array_equal(t.grad, s * (probe - (probe * s).sum(axis=-1, keepdims=True)))
+
+    def test_layer_norm_forward_and_backward(self):
+        d = 12  # not a power of two, so that every division by d rounds
+        x, probe = self._inputs((6, 5, d))
+        rng = np.random.default_rng(45)
+        gain = Tensor(rng.normal(size=d), requires_grad=True)
+        bias = Tensor(rng.normal(size=d), requires_grad=True)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        t = Tensor(x, requires_grad=True)
+        out = T.layer_norm(t, gain, bias)
+        assert np.array_equal(out.data, xhat * gain.data + bias.data)
+        _loss_of(out, probe).backward()
+        dxhat = probe * gain.data
+        gsum = dxhat.sum(axis=-1, keepdims=True)
+        gdot = (dxhat * xhat).sum(axis=-1, keepdims=True)
+        assert np.array_equal(t.grad, (inv / d) * (d * dxhat - gsum - xhat * gdot))
+        for p, want in ((gain, (probe * xhat).sum(axis=(0, 1))), (bias, probe.sum(axis=(0, 1)))):
+            assert np.abs(p.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestBce:
     def test_zero_logits_cost_ln2(self):
         logits = Tensor(np.zeros(10))
@@ -256,6 +354,33 @@ class TestBackward:
         loss.backward()
         with pytest.raises(RuntimeError):
             loss.backward()
+
+
+def _reference_case_grads(backbone: str) -> dict[str, np.ndarray]:
+    """Every parameter gradient of the BCE loss on one fixed 16-word Hamming(7,4) batch."""
+    H = builtin_code("hamming74")
+    model = DenoiserModel.create(H, ArchConfig(backbone, embed_dim=4, layers=2, hidden_mult=2),
+                                 seed=21)
+    rng = np.random.default_rng(22)
+    for t in model.params.values():  # off the initial point: nonzero biases, uneven gains
+        t.data += rng.normal(0, 0.3, t.data.shape)
+    feats, e = preprocess_batch(rng.normal(1, 0.8, (16, H.n)), H)
+    targets = (rng.random((16, H.n)) < 0.3).astype(np.float64)
+    model.zero_grad()
+    bce_with_logits_mean(model.forward(feats, e), targets).backward()
+    return {f"{backbone}/{name}": p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("backbone", list(ARCHS))
+def test_parameter_gradients_match_the_saved_reference(backbone):
+    with np.load(GRAD_REFERENCE) as saved:
+        want = {name: saved[name] for name in saved.files if name.startswith(backbone + "/")}
+    got = _reference_case_grads(backbone)
+    assert sorted(got) == sorted(want)
+    for name, grad in got.items():
+        scale = np.abs(want[name]).max()
+        assert scale > 0, name
+        assert np.abs(grad - want[name]).max() <= 1e-12 * scale, name
 
 
 class TestMaskedAttention:
