@@ -2,10 +2,11 @@
 
 Benchmarks transmit uniformly random codewords (exercising the decoders'
 codeword invariance end to end), decode with a chosen decoder kind and
-accumulate integer error counters until the stopping rule is met.  Work is
-partitioned into per-worker Philox streams keyed by
-(point index, seed XOR worker), and counters merge order-independently, so
-a report is byte-reproducible given (seed, worker count).
+accumulate integer error counters until the stopping rule is met.  Each
+EbN0 point draws its words from one Philox stream keyed by (seed, point
+index), and rounds are folded in the order they were drawn, so a report is
+byte-reproducible from its seed; the worker count only sets how many rounds
+are decoded at once.
 
 BER counts all n codeword bits, not only information bits; comparisons
 between decoders run under the same convention.
@@ -115,15 +116,14 @@ class BerReport:
                 "min_error_frames": self.stop.min_error_frames,
                 "max_words": self.stop.max_words}
         echo.update(self.config)
-        rows = []
-        for p in self.points:
-            nlb = "" if p.neg_ln_ber is None else repr(p.neg_ln_ber)
-            rows.append(",".join([
-                p.decoder, repr(float(p.ebn0_db)), repr(p.sigma), str(p.words),
-                str(p.bits_sent), str(p.bit_errors), str(p.frame_errors),
-                repr(p.ber), repr(p.fer), nlb, repr(p.ber_se),
-                repr(p.iter_mean), repr(p.iter_std)]))
+        rows = [",".join(_csv_field(getattr(p, c)) for c in CSV_COLUMNS) for p in self.points]
         return artifact("bench", echo, ",".join(CSV_COLUMNS), rows)
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: float,
@@ -156,46 +156,43 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
             schedule: NoiseSchedule | None = None,
             decode_config: DecodeConfig | None = None, bp_iters: int = 50,
             batch_size: int = 1024, config_echo: dict | None = None) -> BerReport:
-    """Estimate BER/FER at each EbN0 point; deterministic given (seed, workers)."""
+    """Estimate BER/FER at each EbN0 point; deterministic given the seed.
+
+    Rounds of ``batch_size`` words are drawn in turn from the point's
+    stream and decoded ``workers`` at a time; rounds drawn after the stop
+    rule is met are dropped, so every worker count gives the same report.
+    """
+    if workers < 1 or batch_size < 1:
+        raise ValueError(f"workers and batch_size must be >= 1, got {workers} and {batch_size}")
     G = systematic_generator(code)
     graph = TannerGraph(code) if decoder == "bp" else None
     rate = code.k / code.n
     points = []
-    for point_idx, db in enumerate(ebn0_list):
-        sigma = ebn0_to_sigma(EbN0Point(db, rate))
-        run = _make_decoder(decoder, code, G, sigma, model, schedule,
-                            decode_config, bp_iters, graph)
-        rngs = [make_rng(seed, worker=w, stream=point_idx) for w in range(workers)]
-
-        def one_round(rng):
-            msgs = rng.integers(0, 2, size=(batch_size, G.k), dtype=np.uint8)
-            X = encode_batch(G, msgs)
-            Y = awgn_batch(X, sigma, rng)
-            bits, iters = run(Y)
-            wrong = bits != X
-            frame_err = wrong.any(axis=1)
-            return (len(Y), int(wrong.sum()), int(frame_err.sum()),
-                    int(iters.sum()), int((iters**2).sum()))
-
-        point = BerPoint(decoder, float(db), sigma, 0, 0, 0, 0, 0, 0)
-        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        decode_rounds = map if workers == 1 else pool.map  # one worker: no thread hop
+        for point_idx, db in enumerate(ebn0_list):
+            sigma = ebn0_to_sigma(EbN0Point(db, rate))
+            run = _make_decoder(decoder, code, G, sigma, model, schedule,
+                                decode_config, bp_iters, graph)
+            rng = make_rng(seed, stream=point_idx)
+            point = BerPoint(decoder, float(db), sigma, 0, 0, 0, 0, 0, 0)
             while not stop.satisfied(point.words, point.frame_errors):
-                if pool is None:
-                    results = [one_round(rngs[0])]
-                else:
-                    results = list(pool.map(one_round, rngs))
-                for words, bit_err, frame_err, it_sum, it_sq in results:
-                    point.words += words
-                    point.bits_sent += words * code.n
-                    point.bit_errors += bit_err
-                    point.frame_errors += frame_err
-                    point.iter_sum += it_sum
-                    point.iter_sumsq += it_sq
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        points.append(point)
+                Xs, Ys = [], []
+                for _ in range(workers):
+                    msgs = rng.integers(0, 2, size=(batch_size, G.k), dtype=np.uint8)
+                    Xs.append(encode_batch(G, msgs))
+                    Ys.append(awgn_batch(Xs[-1], sigma, rng))
+                for X, (bits, iters) in zip(Xs, decode_rounds(run, Ys)):
+                    if stop.satisfied(point.words, point.frame_errors):
+                        break
+                    wrong = bits != X
+                    point.words += len(X)
+                    point.bits_sent += X.size
+                    point.bit_errors += int(wrong.sum())
+                    point.frame_errors += int(wrong.any(axis=1).sum())
+                    point.iter_sum += int(iters.sum())
+                    point.iter_sumsq += int((iters**2).sum())
+            points.append(point)
     return BerReport(points, seed, workers, stop, dict(config_echo or {}))
 
 
@@ -236,9 +233,9 @@ def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
     sigma = ebn0_to_sigma(EbN0Point(ebn0_db, code.k / code.n))
     msgs = rng.integers(0, 2, size=(samples, G.k), dtype=np.uint8)
     Y = awgn_batch(encode_batch(G, msgs), sigma, rng)
-    result = decode_batch(model, code, schedule, Y, config, collect_traces=False)
+    result = decode_batch(model, code, schedule, Y, config)
     grid = config.grid()
-    chosen = np.asarray(result.step_sizes)
+    chosen = np.array([step.step_size for trace in result.traces for step in trace])
     counts = np.array([(chosen == lam).sum() for lam in grid], dtype=np.int64)
     return grid, counts
 

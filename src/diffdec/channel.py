@@ -6,9 +6,8 @@ fading channel.
 Randomness policy: every stochastic function takes an explicit numpy
 ``Generator``.  The package-wide generator is Philox (a 64-bit counter-based
 PRNG); Gaussians come from numpy's ziggurat ``standard_normal`` and Rayleigh
-fades from the exact inverse CDF.  Given the same seed the sample stream is
-bit-exact across runs, and worker streams are decorrelated by keying the
-counter with ``seed XOR worker_index``.
+fades from the exact inverse CDF.  Given the same seed and stream the sample
+stream is bit-exact across runs.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ import numpy as np
 from .gf2 import Codeword
 
 
-def make_rng(seed: int, worker: int = 0, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed XOR worker) in the low word.
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox generator keyed by ``seed`` in the low 64 bits of the key.
 
     ``stream`` occupies the high 64 bits of the key and separates logically
     distinct sample streams (e.g. one per EbN0 point) under one seed.
     """
-    key = ((int(stream) & (2**64 - 1)) << 64) | ((int(seed) ^ int(worker)) & (2**64 - 1))
+    key = ((int(stream) & (2**64 - 1)) << 64) | (int(seed) & (2**64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -7,8 +7,8 @@ artifact can itself be passed back via ``--config`` to reproduce the run
 byte for byte.  The flags that set a config dataclass field (TrainConfig,
 StopRule, the DecodeConfig grid) take their name, type and default from
 that field, and those of ``bench`` that pass a ``run_ber`` keyword take its
-default.  The default worker count can be set with the
-``DIFFDEC_WORKERS`` environment variable.
+default.  ``bench --workers`` only sets how many rounds are decoded at
+once: the artifact depends on the seed, not on the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import os
 import re
 import sys
 from dataclasses import asdict, fields
@@ -255,7 +254,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     "preload any subcommand's settings")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
-    default_workers = int(os.environ.get("DIFFDEC_WORKERS", "1"))
 
     p = sub.add_parser("train", help="train a denoiser and write a checkpoint")
     _add_code_args(p)
@@ -281,7 +279,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_fields(p, StopRule)
     run_ber_args = inspect.signature(run_ber).parameters
     p.add_argument("--seed", type=int, default=run_ber_args["seed"].default)
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=run_ber_args["workers"].default)
     p.add_argument("--checkpoint", default="")
     p.add_argument("--bp-iters", type=int, default=run_ber_args["bp_iters"].default)
     p.add_argument("--batch-size", type=int, default=run_ber_args["batch_size"].default)

@@ -69,7 +69,6 @@ class BatchResult:
     converged: np.ndarray  # (B,) bool
     iters: np.ndarray  # (B,) int
     traces: list[list[TraceStep]] = field(default_factory=list)
-    step_sizes: list[float] = field(default_factory=list)  # chosen lambda of every step
 
     def outcomes(self) -> list[DecodeOutcome]:
         traces = self.traces or [[] for _ in range(len(self.bits))]
@@ -132,8 +131,7 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
     grid = config.grid()
 
     iters = np.zeros(B, dtype=np.int64)
-    traces: list[list[TraceStep]] = [[] for _ in range(B)]
-    step_sizes: list[float] = []
+    traces: list[list[TraceStep]] = [[] for _ in range(B)] if collect_traces else []
     alive = np.arange(B)
     for _ in range(limit):
         if alive.size == 0:
@@ -149,15 +147,13 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
         coeff = noise_coefficients(schedule, gamma)
         lam, Y_next, w_after = _ls_pick(H, Y_alive, eps_hat, coeff, grid)
         Y[alive] = Y_next
-        step_sizes.extend(lam.tolist())
         iters[alive] += 1
         if collect_traces:
             for j, word in enumerate(alive):
                 traces[word].append(
                     TraceStep(int(gamma[j]), float(lam[j]), int(w_after[j])))
     converged = syndrome_weights(H, Y) == 0
-    return BatchResult(hard_decision(Y), converged, iters,
-                       traces if collect_traces else [], step_sizes)
+    return BatchResult(hard_decision(Y), converged, iters, traces)
 
 
 def decode(model, H: ParityCheckMatrix, schedule: NoiseSchedule, y: np.ndarray,

@@ -57,17 +57,19 @@ class NoiseSchedule:
     def geometric(cls, first: float, last: float, T: int) -> "NoiseSchedule":
         return cls(np.geomspace(first, last, T))
 
-    def _check_t(self, t: int) -> int:
-        t = int(t)
-        if not 1 <= t <= self.T:
-            raise ValueError(f"step t={t} outside 1..{self.T}")
-        return t
+    def _index(self, t) -> np.ndarray:
+        """0-based indices of the 1-based steps ``t`` (any shape); rejects
+        steps outside 1..T."""
+        t = np.asarray(t, dtype=np.int64)
+        if ((t < 1) | (t > self.T)).any():
+            raise ValueError(f"steps outside 1..{self.T}")
+        return t - 1
 
     def beta(self, t: int) -> float:
-        return float(self.betas[self._check_t(t) - 1])
+        return float(self.betas[self._index(t)])
 
     def beta_bar(self, t: int) -> float:
-        return float(self.beta_bars[self._check_t(t) - 1])
+        return float(self.beta_bars[self._index(t)])
 
     def __repr__(self) -> str:
         return f"NoiseSchedule(T={self.T}, betas[0]={self.betas[0]:g})"
@@ -97,32 +99,31 @@ def posterior_coefficients(t: int, schedule: NoiseSchedule) -> PosteriorCoeffici
 
 def noise_coefficients(schedule: NoiseSchedule, t: np.ndarray) -> np.ndarray:
     """The posterior mean's noise coefficient c(t) for 1-based steps t (any shape)."""
-    t = np.asarray(t, dtype=np.int64)
-    if ((t < 1) | (t > schedule.T)).any():
-        raise ValueError(f"steps outside 1..{schedule.T}")
-    b = schedule.betas[t - 1]
-    bb = schedule.beta_bars[t - 1]
+    idx = schedule._index(t)
+    b = schedule.betas[idx]
+    bb = schedule.beta_bars[idx]
     return np.sqrt(bb) * b / (bb + b)
 
 
-def forward_sample(x0: np.ndarray, t: int, schedule: NoiseSchedule,
+def forward_sample(x0: np.ndarray, t, schedule: NoiseSchedule,
                    rng: np.random.Generator | None = None,
                    eps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Jump directly to step t: x_t = x0 + sqrt(beta_bar_t) * eps.
 
-    ``eps`` may be injected for tests; otherwise it is drawn standard normal
-    from ``rng``.  Returns (x_t, eps) since eps is the training target
-    precursor.
+    ``t`` is one step, or one step per row of ``eps`` (shape
+    ``eps.shape[:-1]``).  ``eps`` may be given; otherwise it is drawn
+    standard normal from ``rng`` in the shape of ``x0``.  Returns (x_t, eps)
+    since eps is the training target precursor.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    bb = schedule.beta_bar(t)
+    scale = np.sqrt(schedule.beta_bars[schedule._index(t)])[..., None]
     if eps is None:
         if rng is None:
             raise ValueError("either rng or eps must be provided")
         eps = rng.standard_normal(x0.shape)
     else:
         eps = np.asarray(eps, dtype=np.float64)
-    return x0 + np.sqrt(bb) * eps, eps
+    return x0 + scale * eps, eps
 
 
 def mul_to_add_noise(y: np.ndarray, eps_tilde_pred: np.ndarray) -> np.ndarray:

@@ -12,23 +12,28 @@ gelu, layer norm, stable BCE-with-logits).
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()  # per thread, so decodes in worker threads leave training alone
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph recording inside the block (inference mode) in this thread."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -114,7 +119,7 @@ def _wrap(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import make_rng
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, forward_sample
 from .gf2 import ParityCheckMatrix, builtin_code
 from .nn import Adam, ArchConfig, DenoiserModel, bce_with_logits_mean, cosine_lr, preprocess_batch
 
@@ -72,13 +72,9 @@ def training_step(model: DenoiserModel, schedule: NoiseSchedule,
     x0 = np.ones(n)  # BPSK of the all-zeros codeword
     if t is None:
         t = rng.integers(1, schedule.T + 1, size=batch_size)
-    else:
-        t = np.asarray(t, dtype=np.int64)
     if eps is None:
         eps = rng.standard_normal((batch_size, n))
-    else:
-        eps = np.asarray(eps, dtype=np.float64)
-    x_t = x0 + np.sqrt(schedule.beta_bars[t - 1])[:, None] * eps
+    x_t, _ = forward_sample(x0, t, schedule, eps=eps)
     targets = (x0 * x_t < 0).astype(np.float64)  # bin of the multiplicative noise
     feats, e = preprocess_batch(x_t, model.code)
     model.zero_grad()

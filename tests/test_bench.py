@@ -6,6 +6,7 @@ from diffdec.bench import (StopRule, forward_process_trace, forward_trace_csv, l
 from diffdec.channel import EbN0Point, ebn0_to_sigma, make_rng
 from diffdec.decoding import DecodeConfig
 from diffdec.diffusion import NoiseSchedule
+from diffdec.nn import ArchConfig, DenoiserModel
 from oracles import pseudo_ldpc_49_24, qfunc
 
 
@@ -23,6 +24,24 @@ class TestStopRule:
     def test_validation(self):
         with pytest.raises(ValueError):
             StopRule(1000, 10, 500)
+
+
+# Hamming(7,4) rows of run_ber at one worker, recorded before the worker
+# count stopped keying the random streams; any change to a point's stream
+# shows here.  The stop rule ends the points after 5, 13 (ml) and 11 (bp)
+# rounds of 200 words, partway through a batch of 2 or 3 rounds.
+PINNED_STOP = StopRule(1000, 40, 2600)
+PINNED_ROWS = {
+    "ml": ["ml,2.0,0.7430260267448032,1000,7000,216,68,0.030857142857142857,0.068,"
+           "3.4783870203532854,0.0020669155623031536,0.0,0.0",
+           "ml,4.0,0.5902065521783963,2600,18200,91,29,0.005,0.011153846153846153,"
+           "5.298317366548036,0.0005228304202622953,0.0,0.0"],
+    "bp": ["bp,2.0,0.7430260267448032,1000,7000,247,92,0.03528571428571429,0.092,"
+           "3.3442770914094733,0.002205209178709786,2.812,10.050803748954609",
+           "bp,4.0,0.5902065521783963,2200,15400,112,42,0.007272727272727273,"
+           "0.019090909090909092,4.923623917106626,0.0006847046339572885,"
+           "0.6763636363636364,3.879993609946174"],
+}
 
 
 class TestRunBer:
@@ -65,6 +84,28 @@ class TestRunBer:
         a = run_ber("ml", rep31, [4.0], workers=2, **kw).to_csv()
         b = run_ber("ml", rep31, [4.0], workers=2, **kw).to_csv()
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ml", "bp"])
+    def test_rows_are_pinned_at_every_worker_count(self, ham74, kind, workers):
+        report = run_ber(kind, ham74, [2.0, 4.0], PINNED_STOP, seed=11, workers=workers,
+                         batch_size=200)
+        assert report.to_csv().splitlines()[-2:] == PINNED_ROWS[kind]
+
+    def test_diffusion_decoder_points_do_not_depend_on_workers(self, ham74):
+        model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=7)
+        kw = dict(stop=PINNED_STOP, seed=11, batch_size=200, model=model,
+                  schedule=NoiseSchedule.constant(0.25, 3))
+        one, two, three = (run_ber("ddecc-ls", ham74, [2.0, 4.0], workers=w, **kw).points
+                           for w in (1, 2, 3))
+        assert one == two == three
+        # the last round comes partway through a batch of 2 and of 3 rounds
+        assert all((p.words // 200) % 6 in (1, 5) for p in one)
+
+    @pytest.mark.parametrize("bad", [dict(workers=0), dict(batch_size=0)])
+    def test_non_positive_workers_or_batch_size_rejected(self, rep31, bad):
+        with pytest.raises(ValueError):
+            run_ber("ml", rep31, [4.0], **bad)
 
     def test_unknown_decoder_rejected(self, rep31):
         with pytest.raises(ValueError):

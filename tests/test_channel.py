@@ -119,11 +119,6 @@ class TestDeterminism:
         b = make_rng(123).standard_normal(1000)
         assert np.array_equal(a, b)
 
-    def test_worker_streams_differ(self):
-        a = make_rng(123, worker=0).standard_normal(10)
-        b = make_rng(123, worker=1).standard_normal(10)
-        assert not np.array_equal(a, b)
-
     def test_decoder_view_invariant_under_codeword_modulation(self, ham74, ham74_gen):
         rng = make_rng(5)
         base = encode(ham74_gen, [0, 0, 0, 0])

@@ -34,6 +34,11 @@ class TestDispatch:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
+    def test_zero_workers_or_batch_size_is_reported(self, capsys, flag):
+        assert main(["bench", "--code", "rep31", flag, "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBench:
     def test_ml_bench_writes_csv(self, tmp_path, capsys):

@@ -159,7 +159,8 @@ class TestLineSearch:
         assert np.array_equal(ls.iters, reg.iters)
         for a, b in zip(ls.traces, reg.traces):
             assert a == b
-        assert ls.step_sizes == reg.step_sizes == [1.0] * int(reg.iters.sum())
+        steps = [step.step_size for trace in reg.traces for step in trace]
+        assert steps == [1.0] * int(reg.iters.sum())
 
     def test_gamma_zero_rejected(self, ham74):
         with pytest.raises(ValueError):

@@ -46,6 +46,8 @@ class TestForwardSample:
         x0 = np.zeros(4)
         x_t, _ = forward_sample(x0, 4, CONST, eps=np.ones(4))
         assert np.allclose(x_t, 0.2)  # sqrt(4 * 0.01)
+        x_t, _ = forward_sample(x0, [1, 4], CONST, eps=np.ones((2, 4)))  # a step per row
+        assert np.allclose(x_t, [[0.1], [0.2]])
 
     def test_empirical_variance_within_5_percent(self):
         rng = make_rng(2)

@@ -1,4 +1,5 @@
 import struct
+import threading
 import zlib
 from pathlib import Path
 
@@ -354,6 +355,24 @@ class TestBackward:
         loss.backward()
         with pytest.raises(RuntimeError):
             loss.backward()
+
+    def test_no_grad_in_another_thread_leaves_this_one_recording(self):
+        inside, release = threading.Event(), threading.Event()
+
+        def hold():
+            with T.no_grad():
+                inside.set()
+                release.wait(5)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert inside.wait(5)
+            assert T.mul(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+        finally:
+            release.set()
+            thread.join(5)
+        assert not thread.is_alive()
 
 
 def _reference_case_grads(backbone: str) -> dict[str, np.ndarray]:
