@@ -205,15 +205,18 @@ def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
     """Mean/std of the parity-error count of noisy random codewords per sigma."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    sigmas = [float(sigma) for sigma in sigmas]
+    if not all(np.isfinite(sigma) and sigma >= 0 for sigma in sigmas):
+        raise ValueError(f"sigmas must be finite and >= 0 (0 is noiseless), got {sigmas}")
     G = systematic_generator(code)
     rows = []
     for idx, sigma in enumerate(sigmas):
         rng = make_rng(seed, stream=idx)
         msgs = rng.integers(0, 2, size=(samples, G.k), dtype=np.uint8)
         X = encode_batch(G, msgs)
-        Y = bpsk(X) if sigma == 0 else awgn_batch(X, float(sigma), rng)
+        Y = bpsk(X) if sigma == 0 else awgn_batch(X, sigma, rng)
         e = syndrome_weights(code, Y)
-        rows.append((float(sigma), float(e.mean()), float(e.std())))
+        rows.append((sigma, float(e.mean()), float(e.std())))
     return rows
 
 

@@ -68,16 +68,22 @@ def _scrub_zeros(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):  # nan fails both tests
+            raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
 def awgn_transmit(x: Codeword, sigma: float, rng: np.random.Generator) -> ChannelOutput:
     """y = BPSK(x) + sigma * eps with eps iid standard normal."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_positive(sigma=sigma)
     y = bpsk(x) + sigma * rng.standard_normal(len(x.bits))
     return ChannelOutput(_scrub_zeros(y), sigma, x)
 
 
 def awgn_batch(X: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """AWGN over a (B, n) batch of codeword bits; returns (B, n) soft values."""
+    _check_positive(sigma=sigma)
     y = bpsk(X) + sigma * rng.standard_normal(X.shape)
     return _scrub_zeros(y)
 
@@ -95,8 +101,7 @@ def rayleigh_transmit(x: Codeword, sigma: float, rng: np.random.Generator,
     ``h`` may be supplied directly (test hook); ``h = ones`` reduces the
     channel to plain AWGN.
     """
-    if sigma <= 0 or alpha <= 0:
-        raise ValueError(f"sigma and alpha must be positive, got {sigma}, {alpha}")
+    _check_positive(sigma=sigma, alpha=alpha)
     n = len(x.bits)
     if h is None:
         h = rayleigh_fading(n, alpha, rng)

@@ -57,12 +57,7 @@ def _preload(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
     for action in parser._actions:  # argparse has no public default registry
         if action.dest in values:
             raw = values[action.dest]
-            if action.type is not None:
-                out[action.dest] = action.type(raw)
-            elif isinstance(action.default, bool):
-                out[action.dest] = raw.lower() in ("1", "true", "yes")
-            else:
-                out[action.dest] = raw
+            out[action.dest] = raw if action.type is None else action.type(raw)
             action.required = False
     parser.set_defaults(**out)
 

@@ -1,15 +1,17 @@
 """Iterative reverse-diffusion decoding.
 
-The loop (at most n-k passes, or ``max_iters`` if smaller): read the
-parity-error count gamma of the current word; exit on gamma = 0; otherwise
-predict the sign flips with the conditioned denoiser, turn them into the
-additive noise estimate eps_hat (``diffusion.mul_to_add_noise``) and take
-the reverse step x <- x - lam * c(gamma) * eps_hat, with c the posterior
-noise coefficient (``diffusion.noise_coefficients``).  The step multiplier
-lam is the grid value whose candidate has the smallest syndrome weight,
-smallest lam on ties.  Line-search mode uses the grid ``ls_grid``; regular
-mode is the one-point grid {1}.  Non-finite input is rejected;
-non-convergence is a normal outcome.
+The loop (at most n-k passes, or ``max_iters`` if smaller) keeps the
+syndrome bits of every word next to the word: taken once up front, then
+from the line search that picks each step.  A word with a zero syndrome
+exits.  Otherwise its parity-error count gamma and the bits feed the
+conditioned denoiser, which predicts the sign flips; they become the
+additive noise estimate eps_hat (``diffusion.mul_to_add_noise``) of the
+reverse step x <- x - lam * c(gamma) * eps_hat, with c the posterior noise
+coefficient (``diffusion.noise_coefficients``).  The step multiplier lam is
+the grid value whose candidate has the smallest syndrome weight, smallest
+lam on ties.  Line-search mode uses the grid ``ls_grid``; regular mode is
+the one-point grid {1}.  Non-finite input is rejected; non-convergence is a
+normal outcome.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import NoiseSchedule, mul_to_add_noise, noise_coefficients
-from .gf2 import ParityCheckMatrix, hard_decision, single_word, syndrome_weights, word_batch
+from .gf2 import ParityCheckMatrix, hard_decision, single_word, word_batch
 from .nn import DenoiserModel
 
 MODES = ("regular", "line_search")
@@ -78,7 +80,7 @@ class BatchResult:
 
 
 def as_denoiser(model, H: ParityCheckMatrix):
-    """Accept a DenoiserModel or any callable (Y, gamma) -> logits."""
+    """Accept a DenoiserModel or any callable (Y, syndrome bits) -> logits."""
     if isinstance(model, DenoiserModel):
         if not np.array_equal(model.code.matrix, H.matrix):
             raise ValueError(f"model is bound to another parity-check matrix "
@@ -93,14 +95,14 @@ def _ls_pick(H: ParityCheckMatrix, Y: np.ndarray, eps_hat: np.ndarray,
              coeff: np.ndarray, grid: np.ndarray):
     """The reverse step Y - lam*coeff*eps_hat for every lam on the grid.
 
-    Returns the chosen lam, the stepped words and their syndrome weights;
-    the smallest weight wins and the smallest lam breaks ties.
+    Returns the chosen lam, the stepped words and their syndrome bits; the
+    smallest syndrome weight wins and the smallest lam breaks ties.
     """
     cand = Y[:, None, :] - (grid[None, :, None] * coeff[:, None, None]) * eps_hat[:, None, :]
-    weights = H.syndrome_bits(hard_decision(cand)).sum(axis=-1)  # (B, C)
-    pick = np.argmin(weights, axis=1)  # first minimum = smallest lambda
+    bits = H.syndrome_bits(hard_decision(cand))  # (B, C, n-k)
+    pick = np.argmin(bits.sum(axis=-1), axis=1)  # first minimum = smallest lambda
     rows = np.arange(len(Y))
-    return grid[pick], cand[rows, pick], weights[rows, pick]
+    return grid[pick], cand[rows, pick], bits[rows, pick]
 
 
 def line_search(H: ParityCheckMatrix, y: np.ndarray, eps_hat: np.ndarray, gamma: int,
@@ -130,30 +132,27 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
     limit = min(config.max_iters or num_checks, num_checks)
     grid = config.grid()
 
+    S = H.syndrome_bits(hard_decision(Y))  # kept equal to the syndrome of Y
     iters = np.zeros(B, dtype=np.int64)
     traces: list[list[TraceStep]] = [[] for _ in range(B)] if collect_traces else []
     alive = np.arange(B)
     for _ in range(limit):
+        alive = alive[S[alive].any(axis=1)]
         if alive.size == 0:
             break
-        gamma = syndrome_weights(H, Y[alive])
-        alive = alive[gamma > 0]
-        gamma = gamma[gamma > 0]
-        if alive.size == 0:
-            break
-        Y_alive = Y[alive]
-        logits = denoiser(Y_alive, gamma)  # logit > 0 means the sign was flipped
+        Y_alive, S_alive = Y[alive], S[alive]
+        gamma = S_alive.sum(axis=1).astype(np.int64)
+        logits = denoiser(Y_alive, S_alive)  # logit > 0 means the sign was flipped
         eps_hat = mul_to_add_noise(Y_alive, np.where(logits > 0, -1.0, 1.0))
         coeff = noise_coefficients(schedule, gamma)
-        lam, Y_next, w_after = _ls_pick(H, Y_alive, eps_hat, coeff, grid)
-        Y[alive] = Y_next
+        lam, Y[alive], S[alive] = _ls_pick(H, Y_alive, eps_hat, coeff, grid)
         iters[alive] += 1
         if collect_traces:
+            w_after = S[alive].sum(axis=1)
             for j, word in enumerate(alive):
                 traces[word].append(
                     TraceStep(int(gamma[j]), float(lam[j]), int(w_after[j])))
-    converged = syndrome_weights(H, Y) == 0
-    return BatchResult(hard_decision(Y), converged, iters, traces)
+    return BatchResult(hard_decision(Y), ~S.any(axis=1), iters, traces)
 
 
 def decode(model, H: ParityCheckMatrix, schedule: NoiseSchedule, y: np.ndarray,

@@ -78,10 +78,14 @@ def preprocess(y: np.ndarray, H: ParityCheckMatrix) -> tuple[np.ndarray, int]:
 
 def preprocess_batch(Y: np.ndarray, H: ParityCheckMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Batched preprocess: (B, n) -> ((B, 2n-k), (B,) parity counts)."""
-    Y = np.asarray(Y, dtype=np.float64)
-    s_bits = H.syndrome_bits(hard_decision(Y))
-    feats = np.concatenate([np.abs(Y), s_bits.astype(np.float64)], axis=-1)
-    return feats, s_bits.sum(axis=-1).astype(np.int64)
+    return syndrome_features(Y, H.syndrome_bits(hard_decision(Y)))
+
+
+def syndrome_features(Y: np.ndarray, syndrome: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feature layout [|y|, s(y)] and parity counts of words with known syndrome bits."""
+    feats = np.concatenate([np.abs(np.asarray(Y, dtype=np.float64)),
+                            syndrome.astype(np.float64)], axis=-1)
+    return feats, syndrome.sum(axis=-1).astype(np.int64)
 
 
 class DenoiserModel:
@@ -204,13 +208,11 @@ class DenoiserModel:
                            self.params["head.bias"])
         return T.reshape(logits, (-1,)) if single else logits
 
-    def denoise(self, Y: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
-        """Inference entry point: raw received words -> flip logits (no grad)."""
-        feats, e = preprocess_batch(Y, self.code)
-        if gamma is None:
-            gamma = e
+    def denoise(self, Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
+        """Inference entry point: (B, n) words and their (B, n-k) syndrome
+        bits -> flip logits (no grad)."""
         with T.no_grad():
-            return self.forward(feats, gamma).data
+            return self.forward(*syndrome_features(Y, syndrome)).data
 
     def zero_grad(self):
         for p in self.params.values():

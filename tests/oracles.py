@@ -45,12 +45,12 @@ def gaussian_bayes_posterior(x_t: float, x0: float, beta: float, beta_bar: float
 def oracle_denoiser(transmitted_signs: np.ndarray):
     """Exact-noise test hook: flip logits from the true transmitted signs.
 
-    Returns a callable (Y, gamma) -> logits with logit > 0 exactly where the
-    sign of y disagrees with the transmitted BPSK value.
+    Returns a callable (Y, syndrome bits) -> logits with logit > 0 exactly
+    where the sign of y disagrees with the transmitted BPSK value.
     """
     x_s = np.asarray(transmitted_signs, dtype=np.float64)
 
-    def denoiser(Y: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    def denoiser(Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
         return np.where(Y * x_s < 0, 8.0, -8.0)
 
     return denoiser

@@ -139,6 +139,11 @@ class TestParityNoiseStudy:
         means = [m for _, m, _ in rows]
         assert means == sorted(means)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+    def test_negative_or_non_finite_sigma_rejected(self, ham74, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            parity_noise_study(ham74, [0.0, bad, 1.0], samples=10, seed=0)
+
     def test_csv_layout(self, ham74):
         rows = parity_noise_study(ham74, [0.0, 1.0], samples=100, seed=0)
         csv = parity_noise_csv(rows, {"code": "hamming74"})

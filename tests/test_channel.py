@@ -68,6 +68,17 @@ class TestAwgn:
         with pytest.raises(ValueError):
             awgn_transmit(encode(ham74_gen, [0, 0, 0, 0]), 0.0, make_rng(0))
 
+    @pytest.mark.parametrize("sigma", [np.nan, -0.5, np.inf, -np.inf, 0.0])
+    def test_every_channel_rejects_a_sigma_that_is_not_positive_and_finite(self, ham74_gen,
+                                                                          sigma):
+        cw = encode(ham74_gen, [1, 0, 1, 1])
+        with pytest.raises(ValueError, match="positive finite"):
+            awgn_transmit(cw, sigma, make_rng(0))
+        with pytest.raises(ValueError, match="positive finite"):
+            awgn_batch(np.tile(cw.bits, (3, 1)), sigma, make_rng(0))
+        with pytest.raises(ValueError, match="positive finite"):
+            rayleigh_transmit(cw, sigma, make_rng(0))
+
 
 class TestRayleigh:
     def test_fade_mean_matches_closed_form_within_1_percent(self):

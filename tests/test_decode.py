@@ -14,9 +14,9 @@ SCHED74 = NoiseSchedule.constant(0.01, 3)
 def counting(denoiser):
     calls = {"n": 0}
 
-    def wrapped(Y, gamma):
+    def wrapped(Y, syndrome):
         calls["n"] += 1
-        return denoiser(Y, gamma)
+        return denoiser(Y, syndrome)
 
     return wrapped, calls
 
@@ -68,7 +68,7 @@ class TestDecodeBasics:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_rejected(self, ham74, bad):
-        fn = lambda Y, gamma: np.zeros(Y.shape)
+        fn = lambda Y, syndrome: np.zeros(Y.shape)
         Y = np.ones((3, 7))
         Y[1, 0] = bad
         Y[1, 1] = -np.inf if bad == np.inf else 1.0
@@ -98,11 +98,33 @@ class TestDecodeBasics:
 
     def test_nonconvergence_is_reported_not_raised(self, ham74):
         # a denoiser that always claims "no flips" cannot fix anything
-        fn = lambda Y, gamma: np.full(Y.shape, -8.0)
+        fn = lambda Y, syndrome: np.full(Y.shape, -8.0)
         y = np.ones(7)
         y[3] = -1.0
         out = decode(fn, ham74, SCHED74, y, DecodeConfig(mode="regular"))
         assert not out.converged and out.iters_used == 3
+
+
+class TestOneSyndromePerStep:
+    @pytest.mark.parametrize("mode", ["regular", "line_search"])
+    def test_one_syndrome_up_front_and_one_per_reverse_step(self, ham74, mode, monkeypatch):
+        calls = {"syndrome": 0, "denoise": 0}
+
+        def counted(name, original):
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(ParityCheckMatrix, "syndrome_bits",
+                            counted("syndrome", ParityCheckMatrix.syndrome_bits))
+        monkeypatch.setattr(DenoiserModel, "denoise", counted("denoise", DenoiserModel.denoise))
+        model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=3)
+        Y = make_rng(12).normal(0.5, 1, (200, 7))
+        res = decode_batch(model, ham74, SCHED74, Y, DecodeConfig(mode=mode))
+        steps = int(res.iters.max())  # a word alive at step t was alive at every earlier one
+        assert steps >= 2
+        assert calls == {"syndrome": 1 + steps, "denoise": steps}
 
 
 class TestLineSearch:

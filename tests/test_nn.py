@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diffdec.channel import bpsk, make_rng
 from diffdec.diffusion import NoiseSchedule
-from diffdec.gf2 import Codeword, ParityCheckMatrix, builtin_code, encode
+from diffdec.gf2 import Codeword, ParityCheckMatrix, builtin_code, encode, hard_decision
 from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attention_mask,
                         bce_with_logits_mean, cosine_lr, load_checkpoint, preprocess,
                         preprocess_batch, save_checkpoint)
@@ -131,6 +131,15 @@ class TestForward:
         for cw in ham74_gen.codebook():
             feats_m, e_m = preprocess(y * bpsk(Codeword(cw)), ham74)
             assert np.array_equal(model.forward(feats_m, e_m).data, base)
+
+    @pytest.mark.parametrize("backbone", list(ARCHS))
+    def test_denoise_from_syndrome_bits_equals_forward_of_preprocess(self, ham74, backbone):
+        model = DenoiserModel.create(ham74, ARCHS[backbone], seed=10)
+        Y = np.random.default_rng(11).normal(0.5, 1, (64, 7))
+        S = ham74.syndrome_bits(hard_decision(Y))
+        assert len(np.unique(S.sum(axis=1))) == 4  # every parity count occurs
+        want = model.forward(*preprocess_batch(Y, ham74)).data
+        assert np.array_equal(model.denoise(Y, S), want)
 
     def test_batch_forward_matches_single(self, ham74):
         model = DenoiserModel.create(ham74, ARCHS["masked_attention"], seed=8)
