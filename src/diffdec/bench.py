@@ -162,8 +162,9 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     stream and decoded ``workers`` at a time; rounds drawn after the stop
     rule is met are dropped, so every worker count gives the same report.
     """
-    if workers < 1 or batch_size < 1:
-        raise ValueError(f"workers and batch_size must be >= 1, got {workers} and {batch_size}")
+    if workers < 1 or batch_size < 1 or bp_iters < 1:
+        raise ValueError("workers, batch_size and bp_iters must be >= 1, got "
+                         f"{workers}, {batch_size} and {bp_iters}")
     G = systematic_generator(code)
     graph = TannerGraph(code) if decoder == "bp" else None
     rate = code.k / code.n

@@ -4,20 +4,26 @@ Flooding schedule: every check node updates, then every variable node.
 All LLRs saturate at +-30: the channel LLRs 2y/sigma^2 on input (so a
 saturated channel observation can still be overturned by its checks) and
 the check-node tanh rule inside tanh/atanh as an overflow guard.  Decoding
-exits early once the hard decisions satisfy all checks.  Messages live in
-(B, m*d_c) slots, slot c*d_c + j on the edge of check c and its j-th bit
-``H.check_cols[c, j]``; a check below the largest degree d_c has pad slots.
-A check message is 2 atanh of the product of tanh(msg/2) over the other
-slots of its check, pads counting as 1: a prefix times a suffix product
-along d_c, taken on a (d_c, B, m) copy so that each step is one contiguous
-block.  Each bit sums its slots through an (n, d_v) index padded with one
-extra slot holding zero, which also serves bits in no check.
+exits early once the hard decisions satisfy all checks.
+
+Messages are kept batch-last, as (num_slots, B) arrays whose slots are
+position-major: slot j*m + c is the edge of check c and its j-th bit
+``H.check_cols[c, j]``, so position j of every check is one contiguous
+(m, B) block.  A check below the largest degree d_c has pad slots.  A check
+message is 2 atanh of the product of tanh(msg/2) over the other slots of its
+check, pads counting as 1: a prefix times a suffix product over the d_c
+blocks, each step one contiguous in-place operation.  Each bit sums the rows
+of its slots, listed in check order in an (n, d_v) index padded with one
+extra row holding zero, which also serves bits in no check.  A word's bits,
+posteriors and iteration count are written once, when it converges or after
+the last iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .channel import check_positive
 from .gf2 import ParityCheckMatrix, hard_decision, padded_support, single_word, word_batch
 
 LLR_CLAMP = 30.0
@@ -25,25 +31,28 @@ _ATANH_EPS = 1e-15
 
 
 class TannerGraph:
-    """Check-slot view of H: the bit each slot reads and the slots each bit sums."""
+    """Position-major slot view of H: the bit each slot reads and the slots each bit sums."""
 
     def __init__(self, H: ParityCheckMatrix):
-        cols = H.check_cols.ravel()
-        self.check_shape = H.check_cols.shape  # (m, d_c)
+        m, d_c = H.check_cols.shape
+        cols = H.check_cols.T.ravel()
+        self.check_shape = (d_c, m)
         self.num_slots = cols.size
         self.pad = np.flatnonzero(cols == H.n)
         self.slot_col = np.where(cols == H.n, 0, cols)  # a pad reads bit 0, then counts as 1
-        # (n, d_v): each bit's slots, padded with the zero slot num_slots
-        self.bit_slots = padded_support(cols == np.arange(H.n)[:, None], self.num_slots)
+        # (n, d_v): each bit's slots in check order, padded with the zero slot num_slots
+        by_check = padded_support(H.check_cols.ravel() == np.arange(H.n)[:, None], cols.size)
+        slot_of = np.append(np.arange(cols.size).reshape(d_c, m).T, cols.size)  # c*d_c + j -> j*m + c
+        self.bit_slots = slot_of[by_check]
 
 
 def check_update(messages: np.ndarray, graph: TannerGraph) -> np.ndarray:
-    """Tanh-rule check-node update on (B, m*d_c) variable-to-check slot messages."""
-    out = np.clip(messages, -LLR_CLAMP, LLR_CLAMP)
-    out /= 2.0
-    by_position = out.reshape((len(out),) + graph.check_shape).transpose(2, 0, 1)
-    t = np.tanh(by_position, order="C")
-    t[graph.pad % len(t), :, graph.pad // len(t)] = 1.0
+    """Tanh-rule check-node update on (num_slots, B) variable-to-check slot messages."""
+    t = np.clip(messages, -LLR_CLAMP, LLR_CLAMP)
+    t /= 2.0
+    np.tanh(t, out=t)
+    t[graph.pad] = 1.0
+    t = t.reshape(graph.check_shape + messages.shape[1:])
     prod = np.empty_like(t)  # position j: the product over positions before j, then after j
     prod[0] = 1.0
     for j in range(1, len(t)):
@@ -51,41 +60,52 @@ def check_update(messages: np.ndarray, graph: TannerGraph) -> np.ndarray:
     for j in range(len(t) - 2, -1, -1):  # t[j] becomes the product over positions from j on
         prod[j] *= t[j + 1]
         t[j] *= t[j + 1]
-    np.arctanh(np.clip(prod, -1.0 + _ATANH_EPS, 1.0 - _ATANH_EPS, out=prod), out=by_position)
-    out *= 2.0
-    return np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out)
+    np.clip(prod, -1.0 + _ATANH_EPS, 1.0 - _ATANH_EPS, out=prod)
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    np.clip(prod, -LLR_CLAMP, LLR_CLAMP, out=prod)
+    return prod.reshape(messages.shape)
 
 
 def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int = 50,
                     graph: TannerGraph | None = None):
     """Decode a (B, n) batch; returns (bits, converged, iters, posteriors)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_positive(sigma=sigma)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     graph = graph or TannerGraph(H)
     Y = word_batch(Y, H.n)
     llr = np.clip(2.0 * Y / sigma**2, -LLR_CLAMP, LLR_CLAMP)
     bits = hard_decision(llr)
     posterior = llr.copy()
     iters = np.zeros(len(Y), dtype=np.int64)
-    done = H.syndrome_bits(bits).sum(axis=-1) == 0
+    done = ~H.syndrome_bits(bits).any(axis=-1)
     alive = np.flatnonzero(~done)
-    llr_alive = llr[alive]
-    m_vc = llr_alive[:, graph.slot_col]
+    llr_T = np.ascontiguousarray(llr[alive].T)  # (n, alive words)
+    m_vc = llr_T[graph.slot_col]
     for it in range(1, max_iters + 1):
         if alive.size == 0:
             break
         m_cv = check_update(m_vc, graph)
-        with_zero = np.concatenate([m_cv, np.zeros((len(m_cv), 1))], axis=1)
-        post = llr_alive + with_zero[:, graph.bit_slots].sum(axis=-1)
-        m_vc = post[:, graph.slot_col] - m_cv
+        slots = np.concatenate([m_cv, np.zeros((1, alive.size))])
+        post = slots[graph.bit_slots[:, 0]]
+        for i in range(1, graph.bit_slots.shape[1]):  # left to right, in check order
+            post += slots[graph.bit_slots[:, i]]
+        post += llr_T
+        m_vc = post[graph.slot_col]
+        m_vc -= m_cv
         hard = hard_decision(post)
-        ok = H.syndrome_bits(hard).sum(axis=-1) == 0
-        bits[alive] = hard
-        posterior[alive] = post
-        iters[alive] = it
-        if ok.any():
+        ok = ~H.syndrome_bits(hard.T).any(axis=-1)
+        leaving = ok if it < max_iters else np.ones_like(ok)
+        if leaving.any():  # write each word's outputs once, as it leaves
+            bits[alive[leaving]] = hard.T[leaving]
+            posterior[alive[leaving]] = post.T[leaving]
+            iters[alive[leaving]] = it
             done[alive[ok]] = True
-            alive, m_vc, llr_alive = alive[~ok], m_vc[~ok], llr_alive[~ok]
+            keep = ~leaving
+            alive = alive[keep]
+            # np.compress keeps C order, so the in-place updates above stay on contiguous rows
+            m_vc, llr_T = np.compress(keep, m_vc, axis=1), np.compress(keep, llr_T, axis=1)
     return bits, done, iters, posterior
 
 

@@ -68,7 +68,8 @@ def _scrub_zeros(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _check_positive(**values: float) -> None:
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not a positive finite number."""
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):  # nan fails both tests
             raise ValueError(f"{name} must be a positive finite number, got {value}")
@@ -76,14 +77,14 @@ def _check_positive(**values: float) -> None:
 
 def awgn_transmit(x: Codeword, sigma: float, rng: np.random.Generator) -> ChannelOutput:
     """y = BPSK(x) + sigma * eps with eps iid standard normal."""
-    _check_positive(sigma=sigma)
+    check_positive(sigma=sigma)
     y = bpsk(x) + sigma * rng.standard_normal(len(x.bits))
     return ChannelOutput(_scrub_zeros(y), sigma, x)
 
 
 def awgn_batch(X: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """AWGN over a (B, n) batch of codeword bits; returns (B, n) soft values."""
-    _check_positive(sigma=sigma)
+    check_positive(sigma=sigma)
     y = bpsk(X) + sigma * rng.standard_normal(X.shape)
     return _scrub_zeros(y)
 
@@ -101,7 +102,7 @@ def rayleigh_transmit(x: Codeword, sigma: float, rng: np.random.Generator,
     ``h`` may be supplied directly (test hook); ``h = ones`` reduces the
     channel to plain AWGN.
     """
-    _check_positive(sigma=sigma, alpha=alpha)
+    check_positive(sigma=sigma, alpha=alpha)
     n = len(x.bits)
     if h is None:
         h = rayleigh_fading(n, alpha, rng)

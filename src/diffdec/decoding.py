@@ -17,6 +17,7 @@ normal outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -37,8 +38,9 @@ class DecodeConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         lo, hi, count = self.ls_grid
-        if lo <= 0 or hi < lo or count < 1:
-            raise ValueError(f"need 0 < lo <= hi and count >= 1, got {self.ls_grid}")
+        if not (np.isfinite([lo, hi]).all() and 0 < lo <= hi
+                and isinstance(count, Integral) and count >= 1):
+            raise ValueError(f"need finite 0 < lo <= hi and an integer count >= 1, got {self.ls_grid}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -47,7 +49,7 @@ class DecodeConfig:
         if self.mode == "regular":
             return np.ones(1)
         lo, hi, count = self.ls_grid
-        return np.linspace(lo, hi, int(count))
+        return np.linspace(lo, hi, count)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from diffdec.gf2 import ParityCheckMatrix
+from diffdec.bp import LLR_CLAMP
+from diffdec.gf2 import ParityCheckMatrix, RankDeficiencyError
 from diffdec.nn import bce_with_logits_mean
 
 
@@ -110,3 +111,68 @@ def codes(draw):
     A = rng.integers(0, 2, size=(m, n - m), dtype=np.uint8)
     H = np.concatenate([A, np.eye(m, dtype=np.uint8)], axis=1)
     return ParityCheckMatrix(H[:, rng.permutation(n)]), rng
+
+
+def regular_ldpc(n: int, col_w: int, row_w: int, seed: int) -> ParityCheckMatrix:
+    """A random (col_w, row_w)-regular parity-check matrix of full rank: check
+    sockets are shuffled and dealt col_w per column, and drawn again until no
+    column meets a check twice and the rows are independent."""
+    rng = np.random.default_rng(seed)
+    m = n * col_w // row_w
+    while True:
+        rows = rng.permutation(np.repeat(np.arange(m), row_w)).reshape(n, col_w)
+        mat = np.zeros((m, n), dtype=np.uint8)
+        mat[rows.T, np.arange(n)] = 1
+        if mat.sum() < n * col_w:
+            continue
+        try:
+            return ParityCheckMatrix(mat)
+        except RankDeficiencyError:
+            continue
+
+
+def flooding_bp(H: ParityCheckMatrix, y: np.ndarray, sigma: float, max_iters: int):
+    """Sum-product BP on one word, one edge at a time, in the flooding schedule:
+    (bits, converged, iters, posterior).
+
+    The clamps and the early exit are the library's: channel LLRs and every
+    message saturate at +-LLR_CLAMP, tanh products at +-(1 - 1e-15), and the
+    word stops as soon as its hard decisions satisfy every check.  A check
+    message multiplies tanh(msg/2) of the bits before its edge left to right
+    and of those after it right to left, and a bit adds its check messages in
+    check order, so the posteriors agree with the batch decoder's to rounding.
+    """
+    eps = 1e-15
+    checks = [np.flatnonzero(row) for row in H.matrix]
+    llr = np.clip(2.0 * np.asarray(y, dtype=np.float64) / sigma**2, -LLR_CLAMP, LLR_CLAMP)
+
+    def satisfied(post):
+        hard = (post < 0).astype(np.uint8)
+        return hard, all(hard[bits].sum() % 2 == 0 for bits in checks)
+
+    hard, ok = satisfied(llr)
+    if ok:
+        return hard, True, 0, llr
+    to_check = {(c, v): llr[v] for c, bits in enumerate(checks) for v in bits}
+    for it in range(1, max_iters + 1):
+        to_bit = {}
+        for c, bits in enumerate(checks):
+            t = [np.tanh(min(max(to_check[c, v], -LLR_CLAMP), LLR_CLAMP) / 2.0) for v in bits]
+            for j, v in enumerate(bits):
+                before = 1.0
+                for x in t[:j]:
+                    before = before * x
+                after = 1.0
+                for x in reversed(t[j + 1:]):
+                    after = x * after
+                prod = min(max(before * after, -1.0 + eps), 1.0 - eps)
+                to_bit[c, v] = min(max(2.0 * np.arctanh(prod), -LLR_CLAMP), LLR_CLAMP)
+        post = llr.copy()
+        for v in range(H.n):
+            post[v] += sum(to_bit[c, v] for c in range(H.num_checks) if (c, v) in to_bit)
+        for c, v in to_check:
+            to_check[c, v] = post[v] - to_bit[c, v]
+        hard, ok = satisfied(post)
+        if ok:
+            return hard, True, it, post
+    return hard, False, max_iters, post

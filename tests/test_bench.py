@@ -107,6 +107,11 @@ class TestRunBer:
         with pytest.raises(ValueError):
             run_ber("ml", rep31, [4.0], **bad)
 
+    @pytest.mark.parametrize("bp_iters", [0, -5])
+    def test_bp_iteration_cap_below_one_rejected(self, rep31, bp_iters):
+        with pytest.raises(ValueError, match="bp_iters"):
+            run_ber("bp", rep31, [4.0], bp_iters=bp_iters)
+
     def test_unknown_decoder_rejected(self, rep31):
         with pytest.raises(ValueError):
             run_ber("turbo", rep31, [4.0])

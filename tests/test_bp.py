@@ -6,8 +6,9 @@ from hypothesis import given, settings
 
 from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode, bp_decode_batch, check_update
 from diffdec.channel import awgn_batch, bpsk, make_rng
-from diffdec.gf2 import Codeword, ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome
-from oracles import codes
+from diffdec.gf2 import (Codeword, ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome,
+                         systematic_generator)
+from oracles import codes, flooding_bp, regular_ldpc
 
 # codes whose checks have unequal degrees, some with bits in no check
 UNEQUAL_ROWS = [
@@ -19,8 +20,10 @@ UNEQUAL_ROWS = [
 
 
 def edge_slots(graph: TannerGraph) -> np.ndarray:
-    """The slots that carry an edge, in check-major order."""
-    return np.setdiff1d(np.arange(graph.num_slots), graph.pad)
+    """The slots that carry an edge, in check-major order (slot j*m + c is check c's j-th bit)."""
+    d_c, m = graph.check_shape
+    check_major = np.arange(graph.num_slots).reshape(d_c, m).T.ravel()
+    return check_major[~np.isin(check_major, graph.pad)]
 
 
 def one_iteration_posterior(H: ParityCheckMatrix, llr: np.ndarray) -> np.ndarray:
@@ -44,7 +47,7 @@ class TestTannerGraph:
     def test_adjacency_is_exactly_the_support(self, ham74):
         g = TannerGraph(ham74)
         edges = edge_slots(g)
-        row, col = edges // g.check_shape[1], g.slot_col[edges]
+        row, col = edges % ham74.num_checks, g.slot_col[edges]
         for r in range(ham74.num_checks):
             assert np.array_equal(col[row == r], np.flatnonzero(ham74.matrix[r]))
         for c in range(ham74.n):
@@ -55,10 +58,10 @@ class TestTannerGraph:
         H = ParityCheckMatrix(rows)
         g = TannerGraph(H)
         degrees = H.matrix.sum(axis=1)
-        assert g.check_shape == (H.num_checks, degrees.max())
+        assert g.check_shape == (degrees.max(), H.num_checks)
         assert len(g.pad) == int((degrees.max() - degrees).sum())
         edges = edge_slots(g)
-        row, col = edges // g.check_shape[1], g.slot_col[edges]
+        row, col = edges % H.num_checks, g.slot_col[edges]
         assert np.array_equal(H.matrix[row, col], np.ones(len(edges)))
         # each bit lists its own slots in check order, then the zero slot
         for v in range(H.n):
@@ -72,29 +75,30 @@ class TestCheckUpdate:
         H = ParityCheckMatrix([[1, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
         g = TannerGraph(H)
         rng = np.random.default_rng(0)
-        m = rng.normal(0, 2, (1, g.num_slots))
+        m = rng.normal(0, 2, (g.num_slots, 1))
         out = check_update(m, g)
-        # permute the first check's four incoming messages
-        perm = np.array([2, 0, 3, 1])
+        # permute the first check's four incoming messages, slots 0, 2, 4 and 6
+        first = np.arange(4) * H.num_checks
+        perm = first[[2, 0, 3, 1]]
         m_p = m.copy()
-        m_p[0, :4] = m[0, perm]
+        m_p[first] = m[perm]
         out_p = check_update(m_p, g)
-        assert np.allclose(out_p[0, :4], out[0, perm], atol=1e-12)
+        assert np.allclose(out_p[first], out[perm], atol=1e-12)
 
     def test_magnitudes_bounded_by_clamp(self, ham74):
         g = TannerGraph(ham74)
-        m = np.full((3, g.num_slots), 1e9)
+        m = np.full((g.num_slots, 3), 1e9)
         out = check_update(m, g)
         assert (np.abs(out) <= LLR_CLAMP).all()
 
     def test_degree_two_check_passes_the_other_message_through(self, rep31):
         g = TannerGraph(rep31)
-        m = np.array([[1.7, -0.4, 0.9, 2.2]])  # slots (check, bit) (0,0),(0,1),(1,0),(1,2)
+        m = np.array([[1.7], [0.9], [-0.4], [2.2]])  # slots (check, bit) (0,0),(1,0),(0,1),(1,2)
         out = check_update(m, g)
         assert out[0, 0] == pytest.approx(-0.4, abs=1e-9)
-        assert out[0, 1] == pytest.approx(1.7, abs=1e-9)
-        assert out[0, 2] == pytest.approx(2.2, abs=1e-9)
-        assert out[0, 3] == pytest.approx(0.9, abs=1e-9)
+        assert out[2, 0] == pytest.approx(1.7, abs=1e-9)
+        assert out[1, 0] == pytest.approx(2.2, abs=1e-9)
+        assert out[3, 0] == pytest.approx(0.9, abs=1e-9)
 
 
 class TestBpDecode:
@@ -159,11 +163,11 @@ class TestBpDecode:
         _, _, iters, post = bp_decode_batch(H, y, 0.8, max_iters=1)
         assert iters[0] == 1
         llr = 2 * y / 0.8**2
-        m_cv = check_update(llr[:, g.slot_col], g)
+        m_cv = check_update(llr[:, g.slot_col].T, g)
         edges = edge_slots(g)
         incidence = np.zeros((g.num_slots, H.n))
         incidence[edges, g.slot_col[edges]] = 1.0
-        assert post == pytest.approx(llr + m_cv @ incidence, rel=1e-12, abs=1e-12)
+        assert post == pytest.approx(llr + m_cv.T @ incidence, rel=1e-12, abs=1e-12)
 
     @staticmethod
     def assert_one_iteration_matches_per_check_loop(H, Y, sigma):
@@ -201,3 +205,66 @@ class TestBpDecode:
     def test_sigma_validation(self, rep31):
         with pytest.raises(ValueError):
             bp_decode(rep31, np.ones(3), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.8])
+    def test_non_finite_or_negative_sigma_rejected(self, rep31, sigma):
+        # a nan or infinite sigma once made every word a converged all-zero codeword
+        with pytest.raises(ValueError, match="sigma must be a positive finite number"):
+            bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), sigma)
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_iteration_cap_below_one_rejected(self, rep31, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), 0.8, max_iters)
+
+
+class TestAgainstFloodingOracle:
+    """Every word against a one-word, one-edge-at-a-time flooding BP: words leave
+    the batch at different iterations, so this pins the compaction of the alive
+    words and the write of each word's outputs as it leaves."""
+
+    @staticmethod
+    def assert_matches_oracle(H, Y, sigma, max_iters):
+        bits, converged, iters, post = bp_decode_batch(H, Y, sigma, max_iters)
+        for word, y in enumerate(Y):
+            o_bits, o_converged, o_iters, o_post = flooding_bp(H, y, sigma, max_iters)
+            assert np.array_equal(bits[word], o_bits)
+            assert converged[word] == o_converged
+            assert iters[word] == o_iters
+            assert np.abs(post[word] - o_post).max() <= 1e-12
+        return converged, iters
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 50])
+    @pytest.mark.parametrize("rows", UNEQUAL_ROWS)
+    def test_unequal_checks(self, rows, max_iters):
+        H = ParityCheckMatrix(rows)
+        Y = np.random.default_rng(3).normal(0.3, 1.0, (200, H.n))
+        self.assert_matches_oracle(H, Y, 0.8, max_iters)
+
+    def test_regular_3_6_code(self):
+        H = regular_ldpc(24, 3, 6, seed=1)
+        G = systematic_generator(H)
+        rng = make_rng(4)
+        X = encode_batch(G, rng.integers(0, 2, (200, G.k), dtype=np.uint8))
+        converged, iters = self.assert_matches_oracle(H, awgn_batch(X, 0.7, rng), 0.7, 20)
+        # words leave at many different iterations, and some never converge
+        assert len(np.unique(iters[converged])) >= 5
+        assert 0 < (~converged).sum() < len(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes())
+def test_bp_and_ml_commute_with_codeword_modulation(code_and_rng):
+    """Decoding y*(1-2c) for a codeword c gives bits XOR c, and BP takes as many iterations."""
+    H, rng = code_and_rng
+    G = systematic_generator(H)
+    book = G.codebook()
+    Y = rng.normal(0, 1, (16, H.n))
+    Y[Y == 0] = 0.25  # sign(0) is +1 on both sides, which modulation would break
+    C = book[rng.integers(0, len(book), size=len(Y))]
+    bits, converged, iters, _ = bp_decode_batch(H, Y, 0.8, 20)
+    m_bits, m_converged, m_iters, _ = bp_decode_batch(H, Y * bpsk(C), 0.8, 20)
+    assert np.array_equal(m_bits, bits ^ C)
+    assert np.array_equal(m_converged, converged)
+    assert np.array_equal(m_iters, iters)
+    assert np.array_equal(ml_decode_batch(H, G, Y * bpsk(C)), ml_decode_batch(H, G, Y) ^ C)

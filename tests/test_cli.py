@@ -39,6 +39,14 @@ class TestDispatch:
         assert main(["bench", "--code", "rep31", flag, "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_bp_iteration_cap_below_one_is_reported(self, capsys, iters):
+        # such a cap once printed the channel's hard decisions as a bp row
+        assert main(["bench", "--decoder", "bp", "--code", "rep31", "--bp-iters", iters]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "bp" not in captured.out
+
 
 class TestBench:
     def test_ml_bench_writes_csv(self, tmp_path, capsys):

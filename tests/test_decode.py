@@ -184,6 +184,17 @@ class TestLineSearch:
         steps = [step.step_size for trace in reg.traces for step in trace]
         assert steps == [1.0] * int(reg.iters.sum())
 
+    @pytest.mark.parametrize("ls_grid", [(np.nan, 20.0, 20), (1.0, np.nan, 20), (1.0, np.inf, 20),
+                                         (-np.inf, 20.0, 20), (1.0, 20.0, 2.5), (1.0, 20.0, 20.0),
+                                         (0.0, 20.0, 20), (2.0, 1.0, 20), (1.0, 20.0, 0)])
+    def test_bad_grid_rejected(self, ls_grid):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            DecodeConfig(ls_grid=ls_grid)
+
+    def test_grid_count_may_be_a_numpy_integer(self):
+        grid = DecodeConfig(ls_grid=(1.0, 20.0, np.int64(20))).grid()
+        assert np.array_equal(grid, np.linspace(1.0, 20.0, 20))
+
     def test_gamma_zero_rejected(self, ham74):
         with pytest.raises(ValueError):
             line_search(ham74, np.ones(7), np.zeros(7), 0, SCHED74,
