@@ -16,8 +16,7 @@ import ctypes
 import sys
 
 from .bench import BerReport, StopRule, run_ber
-from .channel import ChannelOutput, EbN0Point, awgn_transmit, bpsk, ebn0_to_sigma, make_rng, \
-    multiplicative_noise, rayleigh_transmit
+from .channel import EbN0Point, bpsk, ebn0_to_sigma, make_rng
 from .decoding import DecodeConfig, DecodeOutcome, decode, decode_batch, line_search
 from .diffusion import NoiseSchedule, PosteriorCoefficients, forward_sample, mul_to_add_noise, \
     posterior_coefficients
@@ -55,14 +54,12 @@ _keep_freed_heap_pages()
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchConfig", "BerReport", "ChannelOutput", "Codeword", "DecodeConfig",
-    "DecodeOutcome", "DenoiserModel", "EbN0Point", "GeneratorMatrix",
-    "NoiseSchedule", "ParityCheckMatrix", "PosteriorCoefficients", "StopRule",
-    "Syndrome", "TrainConfig", "TrainReport", "awgn_transmit", "bpsk",
-    "builtin_code", "decode", "decode_batch", "ebn0_to_sigma", "encode",
-    "forward_sample", "line_search", "load_alist", "load_checkpoint",
-    "make_rng", "ml_decode", "mul_to_add_noise", "multiplicative_noise",
-    "posterior_coefficients", "rayleigh_transmit", "run_ber",
-    "save_checkpoint", "syndrome",
-    "systematic_generator", "train",
+    "ArchConfig", "BerReport", "Codeword", "DecodeConfig", "DecodeOutcome",
+    "DenoiserModel", "EbN0Point", "GeneratorMatrix", "NoiseSchedule",
+    "ParityCheckMatrix", "PosteriorCoefficients", "StopRule", "Syndrome",
+    "TrainConfig", "TrainReport", "bpsk", "builtin_code",
+    "decode", "decode_batch", "ebn0_to_sigma", "encode", "forward_sample",
+    "line_search", "load_alist", "load_checkpoint", "make_rng", "ml_decode",
+    "mul_to_add_noise", "posterior_coefficients", "run_ber",
+    "save_checkpoint", "syndrome", "systematic_generator", "train",
 ]

@@ -5,8 +5,8 @@ codeword invariance end to end), decode with a chosen decoder kind and
 accumulate integer error counters until the stopping rule is met.  Each
 EbN0 point draws its words from one Philox stream keyed by (seed, point
 index), and rounds are folded in the order they were drawn, so a report is
-byte-reproducible from its seed; the worker count only sets how many rounds
-are decoded at once.
+byte-reproducible from its seed; the worker count and the number of rounds
+packed into one BP call only set how many rounds are decoded at once.
 
 BER counts all n codeword bits, not only information bits; comparisons
 between decoders run under the same convention.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bp import TannerGraph, bp_decode_batch
+from .bp import CALL_MESSAGES, TannerGraph, bp_decode_batch
 from .channel import EbN0Point, awgn_batch, bpsk, ebn0_to_sigma, make_rng
 from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
@@ -159,18 +159,22 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     """Estimate BER/FER at each EbN0 point; deterministic given the seed.
 
     Rounds of ``batch_size`` words are drawn in turn from the point's
-    stream and decoded ``workers`` at a time; rounds drawn after the stop
-    rule is met are dropped, so every worker count gives the same report.
+    stream, up to ``stop.max_words``.  BP decodes as many rounds per call as
+    fit in ``CALL_MESSAGES`` edge messages, the other decoders one; calls
+    run ``workers`` at a time.  Rounds are folded in the order drawn, and
+    those after the stop rule is met are dropped, so every worker count and
+    every number of rounds per call gives the same report.
     """
     if workers < 1 or batch_size < 1 or bp_iters < 1:
         raise ValueError("workers, batch_size and bp_iters must be >= 1, got "
                          f"{workers}, {batch_size} and {bp_iters}")
     G = systematic_generator(code)
     graph = TannerGraph(code) if decoder == "bp" else None
+    per_call = max(1, CALL_MESSAGES // (batch_size * graph.num_slots)) if graph else 1
     rate = code.k / code.n
     points = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        decode_rounds = map if workers == 1 else pool.map  # one worker: no thread hop
+        decode_calls = map if workers == 1 else pool.map  # one worker: no thread hop
         for point_idx, db in enumerate(ebn0_list):
             sigma = ebn0_to_sigma(EbN0Point(db, rate))
             run = _make_decoder(decoder, code, G, sigma, model, schedule,
@@ -178,12 +182,19 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
             rng = make_rng(seed, stream=point_idx)
             point = BerPoint(decoder, float(db), sigma, 0, 0, 0, 0, 0, 0)
             while not stop.satisfied(point.words, point.frame_errors):
+                # every round drawn so far has been folded, and none is drawn past max_words
+                left = -(-(stop.max_words - point.words) // batch_size)
                 Xs, Ys = [], []
-                for _ in range(workers):
+                for _ in range(min(workers * per_call, left)):
                     msgs = rng.integers(0, 2, size=(batch_size, G.k), dtype=np.uint8)
                     Xs.append(encode_batch(G, msgs))
                     Ys.append(awgn_batch(Xs[-1], sigma, rng))
-                for X, (bits, iters) in zip(Xs, decode_rounds(run, Ys)):
+                groups = [Ys[i:i + per_call] for i in range(0, len(Ys), per_call)]
+                calls = [g[0] if len(g) == 1 else np.concatenate(g) for g in groups]
+                rounds = ((bits[i:i + batch_size], iters[i:i + batch_size])
+                          for bits, iters in decode_calls(run, calls)
+                          for i in range(0, len(bits), batch_size))
+                for X, (bits, iters) in zip(Xs, rounds):
                     if stop.satisfied(point.words, point.frame_errors):
                         break
                     wrong = bits != X

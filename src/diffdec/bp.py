@@ -12,11 +12,13 @@ position-major: slot j*m + c is the edge of check c and its j-th bit
 (m, B) block.  A check below the largest degree d_c has pad slots.  A check
 message is 2 atanh of the product of tanh(msg/2) over the other slots of its
 check, pads counting as 1: a prefix times a suffix product over the d_c
-blocks, each step one contiguous in-place operation.  Each bit sums the rows
-of its slots, listed in check order in an (n, d_v) index padded with one
-extra row holding zero, which also serves bits in no check.  A word's bits,
-posteriors and iteration count are written once, when it converges or after
-the last iteration.
+blocks, each step one contiguous in-place operation.  The check messages
+are written into an array with one extra row holding zero, so that each bit
+sums the rows of its slots, listed in check order in an (n, d_v) index
+padded with that zero row, which also serves bits in no check.  A word's
+bits, posteriors and iteration count are written once, when it converges or
+after the last iteration.  Every word is decoded on its own, so a batch of
+several rounds decodes each round exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -28,12 +30,18 @@ from .gf2 import ParityCheckMatrix, hard_decision, padded_support, single_word, 
 
 LLR_CLAMP = 30.0
 _ATANH_EPS = 1e-15
+# Edge messages per call up to which bench.run_ber packs BP rounds into one
+# call (1 MiB per float64 message array).  An iteration has a fixed cost
+# whatever its width, so the few words of a short code that run every
+# iteration then share it with the other rounds' stragglers.
+CALL_MESSAGES = 2**17
 
 
 class TannerGraph:
     """Position-major slot view of H: the bit each slot reads and the slots each bit sums."""
 
     def __init__(self, H: ParityCheckMatrix):
+        self.code = H
         m, d_c = H.check_cols.shape
         cols = H.check_cols.T.ravel()
         self.check_shape = (d_c, m)
@@ -46,14 +54,17 @@ class TannerGraph:
         self.bit_slots = slot_of[by_check]
 
 
-def check_update(messages: np.ndarray, graph: TannerGraph) -> np.ndarray:
-    """Tanh-rule check-node update on (num_slots, B) variable-to-check slot messages."""
+def check_update(messages: np.ndarray, graph: TannerGraph,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Tanh-rule check-node update on (num_slots, B) variable-to-check slot
+    messages, written into ``out`` (a C-contiguous (num_slots, B) array) if given."""
     t = np.clip(messages, -LLR_CLAMP, LLR_CLAMP)
     t /= 2.0
     np.tanh(t, out=t)
     t[graph.pad] = 1.0
     t = t.reshape(graph.check_shape + messages.shape[1:])
-    prod = np.empty_like(t)  # position j: the product over positions before j, then after j
+    # position j: the product over positions before j, then after j
+    prod = np.empty_like(t) if out is None else out.reshape(t.shape)
     prod[0] = 1.0
     for j in range(1, len(t)):
         np.multiply(prod[j - 1], t[j - 1], out=prod[j])
@@ -74,6 +85,9 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     graph = graph or TannerGraph(H)
+    if not np.array_equal(graph.code.matrix, H.matrix):
+        raise ValueError(f"Tanner graph is built from another parity-check matrix "
+                         f"({graph.code!r}) than the code given ({H!r})")
     Y = word_batch(Y, H.n)
     llr = np.clip(2.0 * Y / sigma**2, -LLR_CLAMP, LLR_CLAMP)
     bits = hard_decision(llr)
@@ -86,8 +100,9 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
     for it in range(1, max_iters + 1):
         if alive.size == 0:
             break
-        m_cv = check_update(m_vc, graph)
-        slots = np.concatenate([m_cv, np.zeros((1, alive.size))])
+        slots = np.empty((graph.num_slots + 1, alive.size))
+        slots[-1] = 0.0  # the row that pad entries of bit_slots read
+        m_cv = check_update(m_vc, graph, out=slots[:-1])
         post = slots[graph.bit_slots[:, 0]]
         for i in range(1, graph.bit_slots.shape[1]):  # left to right, in check order
             post += slots[graph.bit_slots[:, i]]

@@ -1,13 +1,11 @@
 """Modulation and noisy-channel simulation.
 
-BPSK mapping, AWGN parameterized by normalized SNR (EbN0), and a Rayleigh
-fading channel.
+BPSK mapping and batched AWGN parameterized by normalized SNR (EbN0).
 
 Randomness policy: every stochastic function takes an explicit numpy
 ``Generator``.  The package-wide generator is Philox (a 64-bit counter-based
-PRNG); Gaussians come from numpy's ziggurat ``standard_normal`` and Rayleigh
-fades from the exact inverse CDF.  Given the same seed and stream the sample
-stream is bit-exact across runs.
+PRNG); Gaussians come from numpy's ziggurat ``standard_normal``.  Given the
+same seed and stream the sample stream is bit-exact across runs.
 """
 
 from __future__ import annotations
@@ -41,15 +39,6 @@ class EbN0Point:
             raise ValueError(f"rate must be in (0,1), got {self.rate}")
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
-    """Received soft values plus the noise level and the transmitted truth."""
-
-    y: np.ndarray
-    sigma: float
-    truth: Codeword
-
-
 def bpsk(x) -> np.ndarray:
     """Modulate bits to +-1: bit 0 -> +1, bit 1 -> -1."""
     bits = x.bits if isinstance(x, Codeword) else np.asarray(x, dtype=np.uint8)
@@ -75,45 +64,8 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
-def awgn_transmit(x: Codeword, sigma: float, rng: np.random.Generator) -> ChannelOutput:
-    """y = BPSK(x) + sigma * eps with eps iid standard normal."""
-    check_positive(sigma=sigma)
-    y = bpsk(x) + sigma * rng.standard_normal(len(x.bits))
-    return ChannelOutput(_scrub_zeros(y), sigma, x)
-
-
 def awgn_batch(X: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """AWGN over a (B, n) batch of codeword bits; returns (B, n) soft values."""
     check_positive(sigma=sigma)
     y = bpsk(X) + sigma * rng.standard_normal(X.shape)
     return _scrub_zeros(y)
-
-
-def rayleigh_fading(n: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """iid Rayleigh(alpha) fades via the exact inverse CDF h = a sqrt(-2 ln u)."""
-    u = 1.0 - rng.random(n)  # in (0, 1], keeps the log finite
-    return alpha * np.sqrt(-2.0 * np.log(u))
-
-
-def rayleigh_transmit(x: Codeword, sigma: float, rng: np.random.Generator,
-                      alpha: float = 1.0, h: np.ndarray | None = None) -> ChannelOutput:
-    """y = h * BPSK(x) + z with h iid Rayleigh(alpha) and z ~ N(0, sigma^2 I).
-
-    ``h`` may be supplied directly (test hook); ``h = ones`` reduces the
-    channel to plain AWGN.
-    """
-    check_positive(sigma=sigma, alpha=alpha)
-    n = len(x.bits)
-    if h is None:
-        h = rayleigh_fading(n, alpha, rng)
-    y = h * bpsk(x) + sigma * rng.standard_normal(n)
-    return ChannelOutput(_scrub_zeros(y), sigma, x)
-
-
-def multiplicative_noise(x: Codeword, y) -> np.ndarray:
-    """Express y = BPSK(x) * eps_mul; since BPSK is +-1 this is y * BPSK(x)."""
-    y = np.asarray(y, dtype=np.float64)
-    s = bpsk(x)
-    if y.shape != s.shape:
-        raise ValueError(f"length mismatch: y {y.shape} vs codeword {s.shape}")
-    return y * s

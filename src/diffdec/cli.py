@@ -7,7 +7,7 @@ artifact can itself be passed back via ``--config`` to reproduce the run
 byte for byte.  The flags that set a config dataclass field (TrainConfig,
 StopRule, the DecodeConfig grid) take their name, type and default from
 that field, and those of ``bench`` that pass a ``run_ber`` keyword take its
-default.  ``bench --workers`` only sets how many rounds are decoded at
+default.  ``bench --workers`` only sets how many decoder calls run at
 once: the artifact depends on the seed, not on the worker count.
 """
 

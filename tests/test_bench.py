@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+import diffdec.bench
 from diffdec.bench import (StopRule, forward_process_trace, forward_trace_csv, lambda_histogram,
                            parity_noise_csv, parity_noise_study, run_ber)
 from diffdec.channel import EbN0Point, ebn0_to_sigma, make_rng
 from diffdec.decoding import DecodeConfig
 from diffdec.diffusion import NoiseSchedule
 from diffdec.nn import ArchConfig, DenoiserModel
+from diffdec.bp import bp_decode_batch
 from oracles import pseudo_ldpc_49_24, qfunc
 
 
@@ -101,6 +105,35 @@ class TestRunBer:
         assert one == two == three
         # the last round comes partway through a batch of 2 and of 3 rounds
         assert all((p.words // 200) % 6 in (1, 5) for p in one)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bp_points_do_not_depend_on_rounds_per_call(self, ham74, workers, monkeypatch):
+        # 2**17 // (2048 words * 12 slots) = 5 rounds per call.  The 2 and 4 dB
+        # points stop on their error frames after 2 and 6 rounds, partway
+        # through a call; the 6 dB point stops at max_words after 16 rounds,
+        # the last of them alone in its call.
+        stop = StopRule(4096, 200, 2048 * 16)
+        kw = dict(seed=4, workers=workers, batch_size=2048)
+        packed = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
+        monkeypatch.setattr(diffdec.bench, "CALL_MESSAGES", 1)
+        one_per_call = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
+        assert packed == one_per_call
+        assert [p.words // 2048 for p in packed] == [2, 6, 16]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_round_is_drawn_past_max_words(self, ham74, workers, monkeypatch):
+        calls = []
+
+        def recording(H, Y, *args, **kwargs):
+            calls.append(len(Y))
+            return bp_decode_batch(H, Y, *args, **kwargs)
+
+        monkeypatch.setattr(diffdec.bench, "bp_decode_batch", recording)
+        stop = StopRule(1000, 10**6, 2600)  # never met by error frames
+        report = run_ber("bp", ham74, [3.0], stop, seed=2, workers=workers, batch_size=200)
+        assert report.points[0].words == 2600
+        assert sum(calls) <= math.ceil(stop.max_words / 200) * 200
+        assert max(calls) > 200  # rounds are packed
 
     @pytest.mark.parametrize("bad", [dict(workers=0), dict(batch_size=0)])
     def test_non_positive_workers_or_batch_size_rejected(self, rep31, bad):

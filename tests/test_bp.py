@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode, bp_decode_batch, check_update
 from diffdec.channel import awgn_batch, bpsk, make_rng
@@ -90,6 +91,15 @@ class TestCheckUpdate:
         m = np.full((g.num_slots, 3), 1e9)
         out = check_update(m, g)
         assert (np.abs(out) <= LLR_CLAMP).all()
+
+    def test_writes_into_the_given_array(self, ham74):
+        g = TannerGraph(ham74)
+        m = np.random.default_rng(1).normal(0, 2, (g.num_slots, 5))
+        buf = np.full((g.num_slots + 1, 5), 7.0)
+        out = check_update(m, g, out=buf[:-1])
+        assert np.shares_memory(out, buf)
+        assert np.array_equal(buf[:-1], check_update(m, g))
+        assert (buf[-1] == 7.0).all()
 
     def test_degree_two_check_passes_the_other_message_through(self, rep31):
         g = TannerGraph(rep31)
@@ -216,6 +226,47 @@ class TestBpDecode:
     def test_iteration_cap_below_one_rejected(self, rep31, max_iters):
         with pytest.raises(ValueError, match="max_iters"):
             bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), 0.8, max_iters)
+
+    def test_graph_of_another_code_of_the_same_dimensions_rejected(self, ham74):
+        # the reversed columns once decoded silently with the other code's structure
+        permuted = ParityCheckMatrix(ham74.matrix[:, ::-1])
+        assert (permuted.n, permuted.k) == (ham74.n, ham74.k)
+        assert not np.array_equal(permuted.matrix, ham74.matrix)
+        Y = make_rng(8).normal(0, 1, (4, 7))
+        with pytest.raises(ValueError, match="another parity-check matrix"):
+            bp_decode_batch(ham74, Y, 0.8, graph=TannerGraph(permuted))
+        own = bp_decode_batch(ham74, Y, 0.8, graph=TannerGraph(ParityCheckMatrix(ham74.matrix)))
+        assert all(np.array_equal(a, b) for a, b in zip(own, bp_decode_batch(ham74, Y, 0.8)))
+
+
+class TestPackedBatches:
+    """Words are decoded independently: one call on several batches stacked
+    gives every word the bits, convergence, iteration count and posterior it
+    gets when its batch is decoded alone, which lets ``run_ber`` pack rounds
+    into one call."""
+
+    @staticmethod
+    def assert_packing_changes_nothing(H, batches, max_iters):
+        packed = bp_decode_batch(H, np.concatenate(batches), 0.8, max_iters)
+        alone = [bp_decode_batch(H, Y, 0.8, max_iters) for Y in batches]
+        for out_packed, outs_alone in zip(packed, zip(*alone)):
+            assert np.array_equal(out_packed, np.concatenate(outs_alone))
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 50])
+    @settings(max_examples=40, deadline=None)
+    @given(codes(), st.lists(st.integers(1, 40), min_size=2, max_size=4))
+    def test_random_codes(self, max_iters, code_and_rng, sizes):
+        H, rng = code_and_rng
+        batches = [rng.normal(0.3, 1.0, (size, H.n)) for size in sizes]
+        self.assert_packing_changes_nothing(H, batches, max_iters)
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 50])
+    @pytest.mark.parametrize("rows", UNEQUAL_ROWS)
+    def test_unequal_checks(self, rows, max_iters):
+        H = ParityCheckMatrix(rows)
+        rng = np.random.default_rng(5)
+        batches = [rng.normal(0.3, 1.0, (size, H.n)) for size in (64, 1, 100)]
+        self.assert_packing_changes_nothing(H, batches, max_iters)
 
 
 class TestAgainstFloodingOracle:

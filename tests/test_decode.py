@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from diffdec.channel import bpsk, make_rng
 from diffdec.decoding import DecodeConfig, decode, decode_batch, line_search
 from diffdec.diffusion import NoiseSchedule, posterior_coefficients
-from diffdec.gf2 import Codeword, ParityCheckMatrix, syndrome
+from diffdec.gf2 import Codeword, ParityCheckMatrix, syndrome, systematic_generator
 from diffdec.nn import ArchConfig, DenoiserModel
-from oracles import oracle_denoiser
+from oracles import codes, oracle_denoiser
 
 SCHED74 = NoiseSchedule.constant(0.01, 3)
 
@@ -215,6 +216,23 @@ class TestEquivariance:
             mod = decode_batch(model, ham74, SCHED74, Y * bpsk(book[picks]), config,
                                collect_traces=False)
             assert np.array_equal(mod.bits, base.bits ^ book[picks])
+            assert np.array_equal(mod.iters, base.iters)
+
+    @settings(max_examples=40, deadline=None)
+    @given(codes())
+    def test_decode_commutes_with_codeword_modulation_on_random_codes(self, code_and_rng):
+        H, rng = code_and_rng
+        model = DenoiserModel.create(H, ArchConfig("mlp", 8, 1), seed=int(rng.integers(100)))
+        schedule = NoiseSchedule.constant(0.05, H.num_checks)
+        book = systematic_generator(H).codebook()
+        Y = rng.normal(0, 1, (16, H.n))
+        Y[Y == 0] = 0.25  # sign(0) is +1 on both sides, which modulation would break
+        C = book[rng.integers(0, len(book), size=len(Y))]
+        for mode in ("regular", "line_search"):
+            config = DecodeConfig(mode=mode)
+            base = decode_batch(model, H, schedule, Y, config, collect_traces=False)
+            mod = decode_batch(model, H, schedule, Y * bpsk(C), config, collect_traces=False)
+            assert np.array_equal(mod.bits, base.bits ^ C)
             assert np.array_equal(mod.iters, base.iters)
 
     def test_incompatible_model_rejected(self, rep31):
