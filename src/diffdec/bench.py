@@ -151,6 +151,25 @@ def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: fl
     raise ValueError(f"unknown decoder kind {kind!r}; choose from {DECODER_KINDS}")
 
 
+def _rounds_to_draw(stop: StopRule, point: BerPoint, batch_size: int, most: int) -> int:
+    """How many rounds the next pass of ``run_ber`` draws: at most ``most``,
+    none past ``max_words``, and as few as the stop rule is likely to fold.
+    Short of ``min_words`` only ``max_words`` can stop the point, so the draw
+    ends at ``min_words``.  Past it, the draw ends where the frame error rate
+    seen so far would bring the missing error frames; with none seen yet
+    there is no estimate, and it ends at ``most``."""
+    def rounds(words: int) -> int:
+        return -(-words // batch_size)
+
+    if point.words < stop.min_words:
+        return min(most, rounds(stop.min_words - point.words))
+    missing = stop.min_error_frames - point.frame_errors
+    left = rounds(stop.max_words - point.words)
+    if point.frame_errors == 0:
+        return min(most, left)
+    return min(most, left, rounds(missing * point.words // point.frame_errors))
+
+
 def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = StopRule(),
             seed: int = 0, workers: int = 1, model=None,
             schedule: NoiseSchedule | None = None,
@@ -159,11 +178,12 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     """Estimate BER/FER at each EbN0 point; deterministic given the seed.
 
     Rounds of ``batch_size`` words are drawn in turn from the point's
-    stream, up to ``stop.max_words``.  BP decodes as many rounds per call as
-    fit in ``CALL_MESSAGES`` edge messages, the other decoders one; calls
-    run ``workers`` at a time.  Rounds are folded in the order drawn, and
-    those after the stop rule is met are dropped, so every worker count and
-    every number of rounds per call gives the same report.
+    stream, never past ``stop.max_words`` and no more than the stop rule is
+    likely to fold (``_rounds_to_draw``).  BP decodes as many rounds per call as fit in
+    ``CALL_MESSAGES`` edge messages, the other decoders one; calls run
+    ``workers`` at a time.  Rounds are folded in the order drawn, and those
+    after the stop rule is met are dropped, so every worker count and every
+    number of rounds per call gives the same report.
     """
     if workers < 1 or batch_size < 1 or bp_iters < 1:
         raise ValueError("workers, batch_size and bp_iters must be >= 1, got "
@@ -182,14 +202,13 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
             rng = make_rng(seed, stream=point_idx)
             point = BerPoint(decoder, float(db), sigma, 0, 0, 0, 0, 0, 0)
             while not stop.satisfied(point.words, point.frame_errors):
-                # every round drawn so far has been folded, and none is drawn past max_words
-                left = -(-(stop.max_words - point.words) // batch_size)
                 Xs, Ys = [], []
-                for _ in range(min(workers * per_call, left)):
+                for _ in range(_rounds_to_draw(stop, point, batch_size, workers * per_call)):
                     msgs = rng.integers(0, 2, size=(batch_size, G.k), dtype=np.uint8)
                     Xs.append(encode_batch(G, msgs))
                     Ys.append(awgn_batch(Xs[-1], sigma, rng))
-                groups = [Ys[i:i + per_call] for i in range(0, len(Ys), per_call)]
+                size = -(-len(Ys) // workers)  # at most per_call rounds, spread over the workers
+                groups = [Ys[i:i + size] for i in range(0, len(Ys), size)]
                 calls = [g[0] if len(g) == 1 else np.concatenate(g) for g in groups]
                 rounds = ((bits[i:i + batch_size], iters[i:i + batch_size])
                           for bits, iters in decode_calls(run, calls)

@@ -48,6 +48,19 @@ PINNED_ROWS = {
 }
 
 
+@pytest.fixture
+def bp_calls(monkeypatch):
+    """Word counts of the bp_decode_batch calls run_ber makes, in call order."""
+    calls = []
+
+    def recording(H, Y, *args, **kwargs):
+        calls.append(len(Y))
+        return bp_decode_batch(H, Y, *args, **kwargs)
+
+    monkeypatch.setattr(diffdec.bench, "bp_decode_batch", recording)
+    return calls
+
+
 class TestRunBer:
     def test_ml_repetition_matches_gaussian_tail_anchor(self, rep31):
         # a 2-codeword antipodal code: frame error prob is Q(sqrt(n)/sigma)
@@ -107,33 +120,60 @@ class TestRunBer:
         assert all((p.words // 200) % 6 in (1, 5) for p in one)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bp_points_do_not_depend_on_rounds_per_call(self, ham74, workers, monkeypatch):
-        # 2**17 // (2048 words * 12 slots) = 5 rounds per call.  The 2 and 4 dB
-        # points stop on their error frames after 2 and 6 rounds, partway
-        # through a call; the 6 dB point stops at max_words after 16 rounds,
-        # the last of them alone in its call.
-        stop = StopRule(4096, 200, 2048 * 16)
-        kw = dict(seed=4, workers=workers, batch_size=2048)
+    def test_bp_points_do_not_depend_on_rounds_per_call(self, ham74, workers, monkeypatch,
+                                                         bp_calls):
+        # 2**17 // (256 words * 12 slots) = 42 rounds per call.  The 2 dB point
+        # stops at min_words after 2 rounds.  The 4 dB point draws 8 more
+        # rounds after those, at the frame error rate of the first 2, and stops
+        # on its error frames after the 9th, partway through a call; the 6 dB
+        # point stops at max_words after 16 rounds.
+        stop = StopRule(512, 40, 256 * 16)
+        kw = dict(seed=5, workers=workers, batch_size=256)
         packed = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
+        assert [p.words // 256 for p in packed] == [2, 9, 16]
+        assert sum(bp_calls) // 256 == 2 + 10 + 16 and max(bp_calls) > 256
         monkeypatch.setattr(diffdec.bench, "CALL_MESSAGES", 1)
+        bp_calls.clear()
         one_per_call = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
         assert packed == one_per_call
-        assert [p.words // 2048 for p in packed] == [2, 6, 16]
+        assert max(bp_calls) == 256
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_no_round_is_drawn_past_max_words(self, ham74, workers, monkeypatch):
-        calls = []
-
-        def recording(H, Y, *args, **kwargs):
-            calls.append(len(Y))
-            return bp_decode_batch(H, Y, *args, **kwargs)
-
-        monkeypatch.setattr(diffdec.bench, "bp_decode_batch", recording)
+    def test_no_round_is_drawn_past_max_words(self, ham74, workers, bp_calls):
         stop = StopRule(1000, 10**6, 2600)  # never met by error frames
         report = run_ber("bp", ham74, [3.0], stop, seed=2, workers=workers, batch_size=200)
         assert report.points[0].words == 2600
-        assert sum(calls) <= math.ceil(stop.max_words / 200) * 200
-        assert max(calls) > 200  # rounds are packed
+        assert sum(bp_calls) <= math.ceil(stop.max_words / 200) * 200
+        assert max(bp_calls) > 200  # rounds are packed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_stopped_at_min_words_decodes_no_later_round(self, rep31, workers, bp_calls):
+        # rep31 packs 32 rounds of 1024 words per call; at 0 dB the default
+        # stop rule has its error frames long before min_words, so the point
+        # ends after ceil(10,000 / 1024) = 10 rounds and no 11th is decoded
+        stop = StopRule()
+        point = run_ber("bp", rep31, [0.0], stop, seed=3, workers=workers).points[0]
+        assert point.frame_errors >= stop.min_error_frames
+        assert point.words == sum(bp_calls) == math.ceil(stop.min_words / 1024) * 1024
+        assert len(bp_calls) == workers
+
+    def test_draws_past_min_words_follow_the_frame_error_rate(self, ham74, monkeypatch):
+        # every frame is wrong, so 1000 words bring 1000 error frames and the
+        # 2000 missing ones need 2000 more words: drawn in one pass of 20
+        # rounds after the 10 up to min_words, and none of them dropped
+        calls = []
+
+        def all_wrong(H, Y, *args, **kwargs):
+            calls.append(len(Y))
+            B = len(Y)
+            return (np.full((B, H.n), 2, dtype=np.uint8), np.zeros(B, dtype=bool),
+                    np.zeros(B, dtype=np.int64), np.zeros((B, H.n)))
+
+        monkeypatch.setattr(diffdec.bench, "bp_decode_batch", all_wrong)
+        stop = StopRule(1000, 3000, 10**5)
+        point = run_ber("bp", ham74, [3.0], stop, seed=2, batch_size=100).points[0]
+        assert calls == [1000, 2000]
+        assert point.words == point.frame_errors == 3000
 
     @pytest.mark.parametrize("bad", [dict(workers=0), dict(batch_size=0)])
     def test_non_positive_workers_or_batch_size_rejected(self, rep31, bad):
