@@ -17,11 +17,11 @@ import sys
 
 from .bench import BerReport, StopRule, run_ber
 from .channel import EbN0Point, bpsk, ebn0_to_sigma, make_rng
-from .decoding import DecodeConfig, DecodeOutcome, decode, decode_batch, line_search
+from .decoding import DecodeConfig, DecodeOutcome, decode_batch
 from .diffusion import NoiseSchedule, PosteriorCoefficients, forward_sample, mul_to_add_noise, \
     posterior_coefficients
-from .gf2 import Codeword, GeneratorMatrix, ParityCheckMatrix, Syndrome, builtin_code, encode, \
-    load_alist, ml_decode, syndrome, systematic_generator
+from .gf2 import Codeword, GeneratorMatrix, ParityCheckMatrix, builtin_code, load_alist, \
+    systematic_generator
 from .nn import ArchConfig, DenoiserModel, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainReport, train
 
@@ -56,10 +56,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchConfig", "BerReport", "Codeword", "DecodeConfig", "DecodeOutcome",
     "DenoiserModel", "EbN0Point", "GeneratorMatrix", "NoiseSchedule",
-    "ParityCheckMatrix", "PosteriorCoefficients", "StopRule", "Syndrome",
-    "TrainConfig", "TrainReport", "bpsk", "builtin_code",
-    "decode", "decode_batch", "ebn0_to_sigma", "encode", "forward_sample",
-    "line_search", "load_alist", "load_checkpoint", "make_rng", "ml_decode",
+    "ParityCheckMatrix", "PosteriorCoefficients", "StopRule", "TrainConfig",
+    "TrainReport", "bpsk", "builtin_code", "decode_batch", "ebn0_to_sigma",
+    "forward_sample", "load_alist", "load_checkpoint", "make_rng",
     "mul_to_add_noise", "posterior_coefficients", "run_ber",
-    "save_checkpoint", "syndrome", "systematic_generator", "train",
+    "save_checkpoint", "systematic_generator", "train",
 ]

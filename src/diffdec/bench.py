@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bp import CALL_MESSAGES, TannerGraph, bp_decode_batch
-from .channel import EbN0Point, awgn_batch, bpsk, ebn0_to_sigma, make_rng
+from .channel import EbN0Point, awgn_batch, bpsk, check_count, ebn0_to_sigma, make_rng
 from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
 from .gf2 import GeneratorMatrix, ParityCheckMatrix, encode_batch, ml_decode_batch, \
@@ -185,9 +185,7 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     after the stop rule is met are dropped, so every worker count and every
     number of rounds per call gives the same report.
     """
-    if workers < 1 or batch_size < 1 or bp_iters < 1:
-        raise ValueError("workers, batch_size and bp_iters must be >= 1, got "
-                         f"{workers}, {batch_size} and {bp_iters}")
+    check_count(workers=workers, batch_size=batch_size, bp_iters=bp_iters)
     G = systematic_generator(code)
     graph = TannerGraph(code) if decoder == "bp" else None
     per_call = max(1, CALL_MESSAGES // (batch_size * graph.num_slots)) if graph else 1
@@ -234,8 +232,7 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
 def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
                        seed: int = 0) -> list[tuple[float, float, float]]:
     """Mean/std of the parity-error count of noisy random codewords per sigma."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    check_count(samples=samples)
     sigmas = [float(sigma) for sigma in sigmas]
     if not all(np.isfinite(sigma) and sigma >= 0 for sigma in sigmas):
         raise ValueError(f"sigmas must be finite and >= 0 (0 is noiseless), got {sigmas}")
@@ -262,6 +259,7 @@ def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
     """Histogram of chosen line-search step sizes over the grid values."""
     if config.mode != "line_search":
         raise ValueError("step-size histograms require line-search mode")
+    check_count(samples=samples)
     rng = make_rng(seed, stream=977)
     G = systematic_generator(code)
     sigma = ebn0_to_sigma(EbN0Point(ebn0_db, code.k / code.n))
@@ -289,6 +287,7 @@ def forward_process_trace(schedule: NoiseSchedule, trajectories: int,
     steps = schedule.T if steps is None else int(steps)
     if not 0 <= steps <= schedule.T:
         raise ValueError(f"steps must lie in 0..{schedule.T}")
+    check_count(trajectories=trajectories)
     rows = []
     for traj in range(trajectories):
         sign = 1.0 if rng.random() < 0.5 else -1.0

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import check_positive
-from .gf2 import ParityCheckMatrix, hard_decision, padded_support, single_word, word_batch
+from .channel import check_count, check_positive
+from .gf2 import ParityCheckMatrix, hard_decision, padded_support, word_batch
 
 LLR_CLAMP = 30.0
 _ATANH_EPS = 1e-15
@@ -82,8 +82,7 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
                     graph: TannerGraph | None = None):
     """Decode a (B, n) batch; returns (bits, converged, iters, posteriors)."""
     check_positive(sigma=sigma)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    check_count(max_iters=max_iters)
     graph = graph or TannerGraph(H)
     if not np.array_equal(graph.code.matrix, H.matrix):
         raise ValueError(f"Tanner graph is built from another parity-check matrix "
@@ -122,9 +121,3 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
             # np.compress keeps C order, so the in-place updates above stay on contiguous rows
             m_vc, llr_T = np.compress(keep, m_vc, axis=1), np.compress(keep, llr_T, axis=1)
     return bits, done, iters, posterior
-
-
-def bp_decode(H: ParityCheckMatrix, y: np.ndarray, sigma: float, max_iters: int = 50):
-    """Decode one word; returns (bits, converged, iters)."""
-    bits, done, iters, _ = bp_decode_batch(H, single_word(y, H.n), sigma, max_iters)
-    return bits[0], bool(done[0]), int(iters[0])

@@ -11,6 +11,7 @@ same seed and stream the sample stream is bit-exact across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -62,6 +63,13 @@ def check_positive(**values: float) -> None:
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):  # nan fails both tests
             raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
+def check_count(**values) -> None:
+    """Raise ValueError naming the first value that is not an integer >= 1."""
+    for name, value in values.items():
+        if not (isinstance(value, Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 def awgn_batch(X: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -21,8 +21,9 @@ from numbers import Integral
 
 import numpy as np
 
+from .channel import check_count
 from .diffusion import NoiseSchedule, mul_to_add_noise, noise_coefficients
-from .gf2 import ParityCheckMatrix, hard_decision, single_word, word_batch
+from .gf2 import ParityCheckMatrix, hard_decision, word_batch
 from .nn import DenoiserModel
 
 MODES = ("regular", "line_search")
@@ -41,8 +42,8 @@ class DecodeConfig:
         if not (np.isfinite([lo, hi]).all() and 0 < lo <= hi
                 and isinstance(count, Integral) and count >= 1):
             raise ValueError(f"need finite 0 < lo <= hi and an integer count >= 1, got {self.ls_grid}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.max_iters is not None:
+            check_count(max_iters=self.max_iters)
 
     def grid(self) -> np.ndarray:
         """Step multipliers to search: [1.0] in regular mode, else ls_grid."""
@@ -107,20 +108,6 @@ def _ls_pick(H: ParityCheckMatrix, Y: np.ndarray, eps_hat: np.ndarray,
     return grid[pick], cand[rows, pick], bits[rows, pick]
 
 
-def line_search(H: ParityCheckMatrix, y: np.ndarray, eps_hat: np.ndarray, gamma: int,
-                schedule: NoiseSchedule, grid) -> float:
-    """Step multiplier minimizing the post-step syndrome weight on the grid.
-
-    ``grid`` is a sequence of step multipliers, such as ``DecodeConfig.grid()``.
-    """
-    if gamma < 1:
-        raise ValueError("line search needs a non-zero parity-error count")
-    lam, _, _ = _ls_pick(H, single_word(y, H.n), single_word(eps_hat, H.n),
-                         noise_coefficients(schedule, np.array([gamma])),
-                         np.asarray(grid, dtype=np.float64))
-    return float(lam[0])
-
-
 def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.ndarray,
                  config: DecodeConfig = DecodeConfig(),
                  collect_traces: bool = True) -> BatchResult:
@@ -155,9 +142,3 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
                 traces[word].append(
                     TraceStep(int(gamma[j]), float(lam[j]), int(w_after[j])))
     return BatchResult(hard_decision(Y), ~S.any(axis=1), iters, traces)
-
-
-def decode(model, H: ParityCheckMatrix, schedule: NoiseSchedule, y: np.ndarray,
-           config: DecodeConfig = DecodeConfig()) -> DecodeOutcome:
-    """Decode a single received word."""
-    return decode_batch(model, H, schedule, single_word(y, H.n), config).outcomes()[0]

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * bits are 0/1 (``uint8``), BPSK maps bit 0 -> +1 and bit 1 -> -1;
 * the hard decision of a real vector ``y`` is ``bin(y) = 0.5*(1 - sign(y))``
   with ``sign(0) := +1`` so that ``bin(0) = 0`` (deterministic);
-* the syndrome of ``y`` is ``H @ bin(y)`` over GF(2).
+* the syndrome of ``y`` is ``H @ bin(y)`` over GF(2);
+* encoding, syndromes and ML decoding take batches, (B, k) messages or
+  (B, n) words; ``single_word`` makes one word a (1, n) batch.
 """
 
 from __future__ import annotations
@@ -118,17 +120,6 @@ class ParityCheckMatrix:
 
 
 @dataclass(frozen=True)
-class Syndrome:
-    """Syndrome bits plus their Hamming weight (the parity-error count)."""
-
-    bits: np.ndarray
-
-    @property
-    def weight(self) -> int:
-        return int(self.bits.sum())
-
-
-@dataclass(frozen=True)
 class Codeword:
     """A length-n bit vector satisfying H x = 0 for its code."""
 
@@ -197,14 +188,6 @@ def systematic_generator(H: ParityCheckMatrix) -> GeneratorMatrix:
     return GeneratorMatrix(G, perm, H)
 
 
-def encode(G: GeneratorMatrix, message) -> Codeword:
-    """Encode a length-k message: x = m G over GF(2)."""
-    msg = np.asarray(message, dtype=np.uint8)
-    if msg.shape != (G.k,):
-        raise ValueError(f"expected a length-{G.k} message, got shape {msg.shape}")
-    return Codeword(encode_batch(G, msg[None, :])[0])
-
-
 def encode_batch(G: GeneratorMatrix, messages: np.ndarray) -> np.ndarray:
     """Encode a (B, k) batch of messages to (B, n) codeword bits: each code bit is
     the parity of its message bits, gathered through ``G.msg_rows``."""
@@ -237,21 +220,9 @@ def single_word(y, n: int) -> np.ndarray:
     return word_batch(y[None, :], n)
 
 
-def syndrome(H: ParityCheckMatrix, y) -> Syndrome:
-    """Syndrome of a real received vector: H bin(y) over GF(2)."""
-    bits = H.syndrome_bits(hard_decision(single_word(y, H.n)))[0]
-    bits.setflags(write=False)
-    return Syndrome(bits)
-
-
 def syndrome_weights(H: ParityCheckMatrix, Y: np.ndarray) -> np.ndarray:
     """Parity-error counts of a (B, n) batch of real vectors."""
     return H.syndrome_bits(hard_decision(Y)).sum(axis=-1).astype(np.int64)
-
-
-def ml_decode(H: ParityCheckMatrix, G: GeneratorMatrix, y) -> Codeword:
-    """Brute-force maximum-likelihood decoding of one word; see ml_decode_batch."""
-    return Codeword(ml_decode_batch(H, G, single_word(y, H.n))[0])
 
 
 def ml_decode_batch(H: ParityCheckMatrix, G: GeneratorMatrix, Y: np.ndarray) -> np.ndarray:

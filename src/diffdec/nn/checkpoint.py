@@ -14,9 +14,9 @@ Layout (all integers little-endian):
     u32       CRC32 of everything above
 
 The arrays are the parameters in name order, then ``code.H`` (0/1 entries)
-and ``schedule.betas``.  Version-1 files, which recorded only (n, k), are
-rejected.  A round trip reproduces forward outputs bit-exactly on the same
-platform.
+and ``schedule.betas``.  Version-1 files, which recorded only (n, k), and
+arrays holding inf or nan are rejected.  A round trip reproduces forward
+outputs bit-exactly on the same platform.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims)) if rank else 1
         arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"array {name!r} holds inf or nan")
         arrays[name] = arr
     if pos != len(body):
         raise CheckpointError("trailing bytes after array section")

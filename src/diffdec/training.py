@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import make_rng
+from .channel import check_positive, make_rng
 from .diffusion import NoiseSchedule, forward_sample
 from .gf2 import ParityCheckMatrix, builtin_code
 from .nn import Adam, ArchConfig, DenoiserModel, bce_with_logits_mean, cosine_lr, preprocess_batch
@@ -42,8 +42,9 @@ class TrainConfig:
         if min(self.epochs, self.batches_per_epoch, self.batch_size) < 0 or \
                 self.batches_per_epoch == 0 or self.batch_size == 0:
             raise ValueError("epochs must be >= 0 and batch counts positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        check_positive(beta=self.beta, lr0=self.lr0)
+        if not (np.isfinite(self.lr_min) and self.lr_min >= 0):
+            raise ValueError(f"lr_min must be a finite number >= 0, got {self.lr_min}")
         self.arch  # ArchConfig rejects a bad architecture here, not in train()
 
     @property

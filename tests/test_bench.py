@@ -180,7 +180,7 @@ class TestRunBer:
         with pytest.raises(ValueError):
             run_ber("ml", rep31, [4.0], **bad)
 
-    @pytest.mark.parametrize("bp_iters", [0, -5])
+    @pytest.mark.parametrize("bp_iters", [0, -5, 2.5])
     def test_bp_iteration_cap_below_one_rejected(self, rep31, bp_iters):
         with pytest.raises(ValueError, match="bp_iters"):
             run_ber("bp", rep31, [4.0], bp_iters=bp_iters)
@@ -262,6 +262,12 @@ class TestLambdaHistogram:
             lambda_histogram(model, ham74, schedule, 4.0, 10, 0,
                              DecodeConfig(mode="regular"))
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_rejected(self, ham74, samples):
+        model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=0)
+        with pytest.raises(ValueError, match="samples"):
+            lambda_histogram(model, ham74, NoiseSchedule.constant(0.01, 3), 4.0, samples)
+
 
 class TestForwardTrace:
     def test_start_rows_are_modulated_codewords(self):
@@ -283,6 +289,11 @@ class TestForwardTrace:
                 diffs.append(np.array(coords[(traj, t)]) - start)
             var = np.concatenate(diffs).var()
             assert var == pytest.approx(sched.beta_bar(t), rel=0.1)
+
+    @pytest.mark.parametrize("trajectories", [0, -2])
+    def test_fewer_than_one_trajectory_rejected(self, trajectories):
+        with pytest.raises(ValueError, match="trajectories"):
+            forward_process_trace(NoiseSchedule.constant(0.05, 4), trajectories, make_rng(0))
 
     def test_row_count_matches_request(self):
         sched = NoiseSchedule.constant(0.05, 8)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode, bp_decode_batch, check_update
+from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode_batch, check_update
 from diffdec.channel import awgn_batch, bpsk, make_rng
-from diffdec.gf2 import (Codeword, ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome,
+from diffdec.gf2 import (ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome_weights,
                          systematic_generator)
 from oracles import codes, flooding_bp, regular_ldpc
 
@@ -113,9 +113,9 @@ class TestCheckUpdate:
 
 class TestBpDecode:
     def test_noiseless_converges_in_zero_iterations(self, ham74, ham74_gen):
-        cw = ham74_gen.codebook()[13]
-        bits, converged, iters = bp_decode(ham74, bpsk(Codeword(cw)), sigma=0.5)
-        assert converged and iters == 0
+        cw = ham74_gen.codebook()[13:14]
+        bits, converged, iters, _ = bp_decode_batch(ham74, bpsk(cw), sigma=0.5)
+        assert converged[0] and iters[0] == 0
         assert np.array_equal(bits, cw)
 
     def test_single_hard_error_high_snr_matches_ml_over_1000_trials(self, ham74, ham74_gen):
@@ -144,7 +144,7 @@ class TestBpDecode:
         y = rng.normal(0, 1, 3)
         sigma = 0.8
         # a codeword would exit before the first iteration
-        assert syndrome(rep31, y).weight > 0
+        assert syndrome_weights(rep31, y[None, :])[0] > 0
         _, _, iters, post = bp_decode_batch(rep31, y[None, :], sigma, max_iters=1)
         assert iters[0] == 1
         post = post[0]
@@ -183,9 +183,10 @@ class TestBpDecode:
     def assert_one_iteration_matches_per_check_loop(H, Y, sigma):
         _, _, iters, post = bp_decode_batch(H, Y, sigma, max_iters=1)
         llr = 2 * Y / sigma**2
+        weights = syndrome_weights(H, Y)
         for word in range(len(Y)):
             # a word whose hard decision is a codeword exits before iterating
-            if syndrome(H, Y[word]).weight == 0:
+            if weights[word] == 0:
                 assert iters[word] == 0
                 assert np.array_equal(post[word], llr[word])
             else:
@@ -209,12 +210,10 @@ class TestBpDecode:
     def test_non_finite_word_rejected(self, rep31, word):
         with pytest.raises(ValueError, match="finite"):
             bp_decode_batch(rep31, np.array([word]), 0.8)
-        with pytest.raises(ValueError, match="finite"):
-            bp_decode(rep31, np.array(word), 0.8)
 
     def test_sigma_validation(self, rep31):
         with pytest.raises(ValueError):
-            bp_decode(rep31, np.ones(3), sigma=0.0)
+            bp_decode_batch(rep31, np.ones((1, 3)), sigma=0.0)
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.8])
     def test_non_finite_or_negative_sigma_rejected(self, rep31, sigma):
@@ -222,7 +221,7 @@ class TestBpDecode:
         with pytest.raises(ValueError, match="sigma must be a positive finite number"):
             bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), sigma)
 
-    @pytest.mark.parametrize("max_iters", [0, -5])
+    @pytest.mark.parametrize("max_iters", [0, -5, 2.5])
     def test_iteration_cap_below_one_rejected(self, rep31, max_iters):
         with pytest.raises(ValueError, match="max_iters"):
             bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), 0.8, max_iters)

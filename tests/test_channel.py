@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diffdec.channel import EbN0Point, awgn_batch, bpsk, ebn0_to_sigma, make_rng
-from diffdec.gf2 import Codeword, encode, hard_decision, syndrome
+from diffdec.gf2 import Codeword, encode_batch, hard_decision
 
 
 class TestBpsk:
@@ -37,41 +37,41 @@ class TestEbn0:
 
 class TestAwgn:
     def test_tiny_sigma_limit_keeps_signs(self, ham74_gen):
-        cw = encode(ham74_gen, [1, 0, 0, 1])
-        y = awgn_batch(np.tile(cw.bits, (3, 1)), 1e-12, make_rng(0))
+        cw = encode_batch(ham74_gen, [[1, 0, 0, 1]])
+        y = awgn_batch(np.tile(cw, (3, 1)), 1e-12, make_rng(0))
         assert y.shape == (3, 7)
         assert np.allclose(y, bpsk(cw), atol=1e-10)
 
     def test_noise_mean_within_clt_bound(self, ham74_gen):
-        cw = encode(ham74_gen, [0, 1, 1, 0])
+        cw = encode_batch(ham74_gen, [[0, 1, 1, 0]])
         rng = make_rng(42)
         sigma, draws = 0.8, 100_000
         acc = np.zeros(7)
         for _ in range(draws // 1000):
-            batch = np.tile(cw.bits, (1000, 1))
+            batch = np.tile(cw, (1000, 1))
             acc += (awgn_batch(batch, sigma, rng) - bpsk(cw)).sum(axis=0)
         mean = acc / draws
         bound = 4 * sigma / np.sqrt(draws)
         assert (np.abs(mean) < bound).all()
 
     def test_noise_variance_within_5_percent(self, ham74_gen):
-        cw = encode(ham74_gen, [0, 1, 1, 0])
+        cw = encode_batch(ham74_gen, [[0, 1, 1, 0]])
         rng = make_rng(7)
         sigma, draws = 0.7, 100_000
-        batch = np.tile(cw.bits, (draws, 1))
+        batch = np.tile(cw, (draws, 1))
         noise = awgn_batch(batch, sigma, rng) - bpsk(cw)
         assert noise.var() == pytest.approx(sigma**2, rel=0.05)
 
     def test_sigma_must_be_positive(self, ham74_gen):
         with pytest.raises(ValueError):
-            awgn_batch(encode(ham74_gen, [0, 0, 0, 0]).bits[None, :], 0.0, make_rng(0))
+            awgn_batch(encode_batch(ham74_gen, [[0, 0, 0, 0]]), 0.0, make_rng(0))
 
     @pytest.mark.parametrize("sigma", [np.nan, -0.5, np.inf, -np.inf, 0.0])
     def test_every_channel_rejects_a_sigma_that_is_not_positive_and_finite(self, ham74_gen,
                                                                           sigma):
-        cw = encode(ham74_gen, [1, 0, 1, 1])
+        cw = encode_batch(ham74_gen, [[1, 0, 1, 1]])
         with pytest.raises(ValueError, match="positive finite"):
-            awgn_batch(np.tile(cw.bits, (3, 1)), sigma, make_rng(0))
+            awgn_batch(np.tile(cw, (3, 1)), sigma, make_rng(0))
 
 
 class TestDeterminism:
@@ -82,9 +82,9 @@ class TestDeterminism:
 
     def test_decoder_view_invariant_under_codeword_modulation(self, ham74, ham74_gen):
         rng = make_rng(5)
-        base = encode(ham74_gen, [0, 0, 0, 0])
-        y = awgn_batch(base.bits[None, :], 0.7, rng)[0]
+        y = awgn_batch(encode_batch(ham74_gen, [[0, 0, 0, 0]]), 0.7, rng)
         for cw in ham74_gen.codebook()[:8]:
             mod = y * bpsk(Codeword(cw))
             assert np.array_equal(np.abs(mod), np.abs(y))
-            assert np.array_equal(syndrome(ham74, mod).bits, syndrome(ham74, y).bits)
+            assert np.array_equal(ham74.syndrome_bits(hard_decision(mod)),
+                                  ham74.syndrome_bits(hard_decision(y)))

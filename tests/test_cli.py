@@ -114,6 +114,13 @@ class TestTrainCli:
         assert loaded.metadata["epochs"] == "0"
         assert "epoch,mean_loss" in report.read_text()
 
+    def test_negative_learning_rate_is_reported_before_training(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--code", "rep31", "--epochs", "1", "--lr0=-1e-3",
+                     "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_training_run_is_reproducible(self, tmp_path, capsys):
         args = ["train", "--code", "rep31", "--epochs", "2",
                 "--batches-per-epoch", "5", "--batch-size", "16",
@@ -277,6 +284,26 @@ class TestStudyCli:
                      "--out", str(out)]) == 0
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 1 + 3 * 7
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_lambda_hist_rejects_fewer_than_one_sample(self, tmp_path, capsys, samples):
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "lh.csv"
+        assert main(["train", "--code", "rep31", "--epochs", "0", "--embed-dim", "8",
+                     "--layers", "1", "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 0
+        capsys.readouterr()
+        assert main(["study", "--kind", "lambda-hist", "--code", "rep31", "--checkpoint",
+                     str(ckpt), "--samples", samples, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trajectories", ["0", "-2"])
+    def test_forward_trace_rejects_fewer_than_one_trajectory(self, tmp_path, capsys,
+                                                            trajectories):
+        out = tmp_path / "ft.csv"
+        assert main(["study", "--kind", "forward-trace", "--trajectories", trajectories,
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_hist_requires_checkpoint(self, capsys):
         assert main(["study", "--kind", "lambda-hist", "--code", "rep31"]) == 1

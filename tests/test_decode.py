@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 
 from diffdec.channel import bpsk, make_rng
-from diffdec.decoding import DecodeConfig, decode, decode_batch, line_search
-from diffdec.diffusion import NoiseSchedule, posterior_coefficients
-from diffdec.gf2 import Codeword, ParityCheckMatrix, syndrome, systematic_generator
+from diffdec.decoding import DecodeConfig, _ls_pick, decode_batch
+from diffdec.diffusion import NoiseSchedule, noise_coefficients, posterior_coefficients
+from diffdec.gf2 import Codeword, ParityCheckMatrix, syndrome_weights, systematic_generator
 from diffdec.nn import ArchConfig, DenoiserModel
 from oracles import codes, oracle_denoiser
 
@@ -22,11 +22,18 @@ def counting(denoiser):
     return wrapped, calls
 
 
+def ls_step(H, y, eps_hat, gamma, grid):
+    """The step multiplier the line search picks for one word, as a (1, n) batch."""
+    lam, _, _ = _ls_pick(H, y[None, :], eps_hat[None, :],
+                         noise_coefficients(SCHED74, np.array([gamma])), grid)
+    return float(lam[0])
+
+
 class TestDecodeBasics:
     def test_zero_syndrome_returns_immediately_without_model_call(self, ham74, ham74_gen):
         cw = ham74_gen.codebook()[11]
         fn, calls = counting(oracle_denoiser(bpsk(Codeword(cw))))
-        out = decode(fn, ham74, SCHED74, bpsk(Codeword(cw)))
+        out = decode_batch(fn, ham74, SCHED74, bpsk(cw[None, :])).outcomes()[0]
         assert np.array_equal(out.bits, cw)
         assert out.converged and out.iters_used == 0 and out.trace == ()
         assert calls["n"] == 0
@@ -37,18 +44,19 @@ class TestDecodeBasics:
             for j in range(7):
                 y = x_s.copy()
                 y[j] = -y[j]
-                out = decode(oracle_denoiser(x_s), ham74, SCHED74, y,
-                             DecodeConfig(mode="line_search"))
+                out = decode_batch(oracle_denoiser(x_s), ham74, SCHED74, y[None, :],
+                                   DecodeConfig(mode="line_search")).outcomes()[0]
                 assert out.converged and out.iters_used <= 3
                 assert np.array_equal(out.bits, cw)
 
     def test_max_iters_one_bounds_the_loop(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=0)
         rng = make_rng(1)
-        y = rng.normal(0, 1, 7)
-        while syndrome(ham74, y).weight == 0:
-            y = rng.normal(0, 1, 7)
-        out = decode(model, ham74, SCHED74, y, DecodeConfig(mode="regular", max_iters=1))
+        y = rng.normal(0, 1, (1, 7))
+        while syndrome_weights(ham74, y)[0] == 0:
+            y = rng.normal(0, 1, (1, 7))
+        out = decode_batch(model, ham74, SCHED74, y,
+                           DecodeConfig(mode="regular", max_iters=1)).outcomes()[0]
         assert out.iters_used == 1
         assert out.converged == (int(ham74.syndrome_bits(out.bits).sum()) == 0)
 
@@ -76,7 +84,7 @@ class TestDecodeBasics:
         with pytest.raises(ValueError, match="finite"):
             decode_batch(fn, ham74, SCHED74, Y)
         with pytest.raises(ValueError, match="finite"):
-            decode(fn, ham74, SCHED74, Y[1])
+            decode_batch(fn, ham74, SCHED74, Y[1:2])
 
     @pytest.mark.parametrize("backbone", ["mlp", "masked_attention"])
     def test_model_rejects_another_matrix_of_the_same_dimensions(self, ham74, backbone):
@@ -93,16 +101,16 @@ class TestDecodeBasics:
         Y = rng.normal(0, 1, (16, 7))
         res = decode_batch(model, ham74, SCHED74, Y)
         for i in range(16):
-            single = decode(model, ham74, SCHED74, Y[i])
+            single = decode_batch(model, ham74, SCHED74, Y[i:i + 1]).outcomes()[0]
             assert np.array_equal(single.bits, res.bits[i])
             assert single.iters_used == res.iters[i]
 
     def test_nonconvergence_is_reported_not_raised(self, ham74):
         # a denoiser that always claims "no flips" cannot fix anything
         fn = lambda Y, syndrome: np.full(Y.shape, -8.0)
-        y = np.ones(7)
-        y[3] = -1.0
-        out = decode(fn, ham74, SCHED74, y, DecodeConfig(mode="regular"))
+        y = np.ones((1, 7))
+        y[0, 3] = -1.0
+        out = decode_batch(fn, ham74, SCHED74, y, DecodeConfig(mode="regular")).outcomes()[0]
         assert not out.converged and out.iters_used == 3
 
 
@@ -132,15 +140,13 @@ class TestLineSearch:
     def test_zero_noise_ties_break_to_smallest_lambda(self, ham74):
         y = np.ones(7)
         y[4] = -1.0  # single flip, column weight 1
-        lam = line_search(ham74, y, np.zeros(7), 1, SCHED74,
-                          DecodeConfig(ls_grid=(1.0, 20.0, 20)).grid())
+        lam = ls_step(ham74, y, np.zeros(7), 1, DecodeConfig(ls_grid=(1.0, 20.0, 20)).grid())
         assert lam == 1.0
 
     def test_single_point_grid_returns_it(self, ham74):
         y = np.ones(7)
         y[4] = -1.0
-        lam = line_search(ham74, y, y - np.ones(7), 1, SCHED74,
-                          DecodeConfig(ls_grid=(7.5, 7.5, 1)).grid())
+        lam = ls_step(ham74, y, y - np.ones(7), 1, DecodeConfig(ls_grid=(7.5, 7.5, 1)).grid())
         assert lam == 7.5
 
     def test_exact_landing_is_found_and_is_the_smallest_zeroing_lambda(self, ham74, ham74_gen):
@@ -148,28 +154,18 @@ class TestLineSearch:
         x_s = bpsk(Codeword(cw))
         y = x_s.copy()
         y[4] = -y[4]  # column 4 has weight 1 -> gamma = 1
-        gamma = syndrome(ham74, y).weight
+        gamma = int(syndrome_weights(ham74, y[None, :])[0])
         assert gamma == 1
         eps_hat = y - x_s
         grid = np.linspace(1, 20, 20)
-        lam = line_search(ham74, y, eps_hat, gamma, SCHED74, grid)
+        lam = ls_step(ham74, y, eps_hat, gamma, grid)
         coeff = posterior_coefficients(gamma, SCHED74).mean_noise_coeff
         # brute-force oracle over the grid
-        weights = [syndrome(ham74, y - g * coeff * eps_hat).weight for g in grid]
-        assert min(weights) == 0
+        weights = syndrome_weights(ham74, y - grid[:, None] * coeff * eps_hat)
+        assert weights.min() == 0
         expected = grid[int(np.argmin(weights))]
         assert lam == expected
-        assert syndrome(ham74, y - lam * coeff * eps_hat).weight == 0
-
-    def test_grid_is_a_sequence_of_multipliers_whatever_its_type(self, ham74, ham74_gen):
-        x = bpsk(Codeword(ham74_gen.codebook()[5]))
-        y = x.copy()
-        y[2] = -y[2]
-        gamma = syndrome(ham74, y).weight
-        coeff = posterior_coefficients(gamma, SCHED74).mean_noise_coeff
-        eps_hat = (y - x) / (20.0 * coeff)  # only lam = 20 lands on x
-        for grid in [(2.0, 8.0, 20), [2.0, 8.0, 20]]:
-            assert line_search(ham74, y, eps_hat, gamma, SCHED74, grid) == 20.0
+        assert syndrome_weights(ham74, (y - lam * coeff * eps_hat)[None, :])[0] == 0
 
     def test_single_point_ls_equals_regular_trace(self, ham74):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=7)
@@ -196,10 +192,10 @@ class TestLineSearch:
         grid = DecodeConfig(ls_grid=(1.0, 20.0, np.int64(20))).grid()
         assert np.array_equal(grid, np.linspace(1.0, 20.0, 20))
 
-    def test_gamma_zero_rejected(self, ham74):
-        with pytest.raises(ValueError):
-            line_search(ham74, np.ones(7), np.zeros(7), 0, SCHED74,
-                        DecodeConfig(ls_grid=(1.0, 20.0, 20)).grid())
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5])
+    def test_bad_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            DecodeConfig(max_iters=max_iters)
 
 
 class TestEquivariance:
@@ -239,4 +235,4 @@ class TestEquivariance:
         from diffdec.gf2 import builtin_code
         model = DenoiserModel.create(builtin_code("hamming74"), ArchConfig("mlp", 8, 1), 0)
         with pytest.raises(ValueError):
-            decode(model, rep31, NoiseSchedule.constant(0.01, 2), np.ones(3))
+            decode_batch(model, rep31, NoiseSchedule.constant(0.01, 2), np.ones((1, 3)))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from diffdec.channel import bpsk
 from diffdec.gf2 import (AlistFormatError, ParityCheckMatrix, RankDeficiencyError, builtin_code,
-                         encode, encode_batch, load_alist, ml_decode, ml_decode_batch,
-                         syndrome, systematic_generator, to_alist)
+                         encode_batch, hard_decision, load_alist, ml_decode_batch,
+                         syndrome_weights, systematic_generator, to_alist)
 from oracles import HAMMING74_ALIST, codes, pseudo_ldpc_49_24
 
 
@@ -118,10 +118,8 @@ class TestParityCheckMatrix:
 
 class TestSystematicGenerator:
     def test_hamming74_annihilates_H_for_all_16_messages(self, ham74, ham74_gen):
-        for idx in range(16):
-            msg = [(idx >> j) & 1 for j in range(4)]
-            cw = encode(ham74_gen, msg)
-            assert syndrome(ham74, bpsk(cw)).weight == 0
+        msgs = ((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(np.uint8)
+        assert not syndrome_weights(ham74, bpsk(encode_batch(ham74_gen, msgs))).any()
 
     def test_repetition_gives_all_ones_row(self, rep31, rep31_gen):
         assert np.array_equal(rep31_gen.matrix, [[1, 1, 1]])
@@ -152,18 +150,15 @@ class TestSystematicGenerator:
 
     def test_unit_messages_reencode_to_generator_rows(self, ham74):
         G = systematic_generator(ham74)
-        for j in range(G.k):
-            msg = np.zeros(G.k, dtype=np.uint8)
-            msg[j] = 1
-            assert np.array_equal(encode(G, msg).bits, G.matrix[j])
+        assert np.array_equal(encode_batch(G, np.eye(G.k, dtype=np.uint8)), G.matrix)
 
 
 class TestEncode:
     def test_zero_message_gives_zero_codeword(self, ham74_gen):
-        assert not encode(ham74_gen, [0, 0, 0, 0]).bits.any()
+        assert not encode_batch(ham74_gen, [[0, 0, 0, 0]]).any()
 
     def test_repetition_one_encodes_to_all_ones(self, rep31_gen):
-        assert np.array_equal(encode(rep31_gen, [1]).bits, [1, 1, 1])
+        assert np.array_equal(encode_batch(rep31_gen, [[1]]), [[1, 1, 1]])
 
     def test_all_16_codewords_distinct_and_valid(self, ham74, ham74_gen):
         book = ham74_gen.codebook()
@@ -171,30 +166,29 @@ class TestEncode:
         assert not ham74.syndrome_bits(book).any()
 
     def test_length_mismatch(self, ham74_gen):
-        with pytest.raises(ValueError):
-            encode(ham74_gen, [1, 0])
+        for msgs in ([[1, 0]], [1, 0, 1, 1]):  # a short message; one message, not a batch
+            with pytest.raises(ValueError, match="messages"):
+                encode_batch(ham74_gen, msgs)
 
 
 class TestSyndrome:
     def test_bpsk_codeword_has_zero_syndrome(self, ham74, ham74_gen):
-        cw = encode(ham74_gen, [1, 0, 1, 1])
-        s = syndrome(ham74, bpsk(cw))
-        assert s.weight == 0 and not s.bits.any()
+        y = bpsk(encode_batch(ham74_gen, [[1, 0, 1, 1]]))
+        assert not ham74.syndrome_bits(hard_decision(y)).any()
+        assert syndrome_weights(ham74, y).tolist() == [0]
 
     def test_single_flip_reads_off_H_column(self, ham74, ham74_gen):
-        cw = encode(ham74_gen, [0, 1, 1, 0])
-        for j in range(7):
-            y = bpsk(cw).copy()
-            y[j] = -y[j]
-            assert np.array_equal(syndrome(ham74, y).bits, ham74.matrix[:, j])
+        Y = np.tile(bpsk(encode_batch(ham74_gen, [[0, 1, 1, 0]])), (7, 1))
+        Y[np.arange(7), np.arange(7)] *= -1.0  # word j flips bit j
+        assert np.array_equal(ham74.syndrome_bits(hard_decision(Y)), ham74.matrix.T)
 
     def test_all_positive_vector_is_zero_syndrome(self, ham74):
-        assert syndrome(ham74, np.full(7, 0.25)).weight == 0
+        assert syndrome_weights(ham74, np.full((1, 7), 0.25)).tolist() == [0]
 
     def test_sign_zero_maps_to_bit_zero(self, ham74):
-        y = np.ones(7)
-        y[0] = 0.0  # bin(0) = 0 by the sign(0) = +1 policy
-        assert syndrome(ham74, y).weight == 0
+        y = np.ones((1, 7))
+        y[0, 0] = 0.0  # bin(0) = 0 by the sign(0) = +1 policy
+        assert syndrome_weights(ham74, y).tolist() == [0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 15), st.integers(0, 2**31 - 1))
@@ -202,53 +196,51 @@ class TestSyndrome:
         H = builtin_code("hamming74")
         G = systematic_generator(H)
         rng = np.random.default_rng(noise_seed)
-        y = rng.normal(0, 1, 7)
+        y = rng.normal(0, 1, (1, 7))
         y[y == 0] = 0.5
         cw = G.codebook()[msg_idx]
-        assert np.array_equal(syndrome(H, y * bpsk(cw)).bits, syndrome(H, y).bits)
+        assert np.array_equal(H.syndrome_bits(hard_decision(y * bpsk(cw))),
+                              H.syndrome_bits(hard_decision(y)))
 
     def test_modulation_invariance_exhaustive_on_hamming(self, ham74, ham74_gen):
         rng = np.random.default_rng(11)
         y = rng.normal(0, 1, 7)
-        base = syndrome(ham74, y).bits
-        for cw in ham74_gen.codebook():
-            assert np.array_equal(syndrome(ham74, y * bpsk(cw)).bits, base)
+        base = ham74.syndrome_bits(hard_decision(y[None, :]))
+        mod = ham74.syndrome_bits(hard_decision(y * bpsk(ham74_gen.codebook())))
+        assert np.array_equal(mod, np.repeat(base, 16, axis=0))
 
 
 class TestParityErrorCount:
     def test_zero_syndrome_counts_zero(self, ham74):
-        assert syndrome(ham74, np.ones(7)).weight == 0
+        assert syndrome_weights(ham74, np.ones((1, 7))).tolist() == [0]
 
     def test_all_ones_syndrome_counts_n_minus_k(self, ham74, ham74_gen):
-        cw = encode(ham74_gen, [0, 0, 0, 0])
-        y = bpsk(cw).copy()
-        y[3] = -1.0  # column 3 of H is (1,1,1)
-        assert syndrome(ham74, y).weight == 3
+        y = bpsk(encode_batch(ham74_gen, [[0, 0, 0, 0]]))
+        y[0, 3] = -1.0  # column 3 of H is (1,1,1)
+        assert syndrome_weights(ham74, y).tolist() == [3]
 
     def test_single_flip_counts_column_weight_on_wide_code(self):
         H = pseudo_ldpc_49_24()
-        y = np.ones(49)
-        for j in (0, 17, 48):
-            flipped = y.copy()
-            flipped[j] = -1.0
-            assert syndrome(H, flipped).weight == int(H.matrix[:, j].sum())
+        cols = [0, 17, 48]
+        Y = np.ones((3, 49))
+        Y[np.arange(3), cols] = -1.0  # word i flips bit cols[i]
+        assert np.array_equal(syndrome_weights(H, Y), H.matrix[:, cols].sum(axis=0))
 
 
 class TestMlDecode:
     def test_repetition_soft_vote(self, rep31, rep31_gen):
-        out = ml_decode(rep31, rep31_gen, [0.9, -0.2, 0.3])
-        assert np.array_equal(out.bits, [0, 0, 0])
+        out = ml_decode_batch(rep31, rep31_gen, [[0.9, -0.2, 0.3]])
+        assert np.array_equal(out, [[0, 0, 0]])
 
     def test_exact_bpsk_recovers_codeword(self, ham74, ham74_gen):
-        for idx in (0, 5, 15):
-            cw = ham74_gen.codebook()[idx]
-            assert np.array_equal(ml_decode(ham74, ham74_gen, bpsk(cw)).bits, cw)
+        book = ham74_gen.codebook()[[0, 5, 15]]
+        assert np.array_equal(ml_decode_batch(ham74, ham74_gen, bpsk(book)), book)
 
     def test_small_perturbation_is_corrected(self, ham74, ham74_gen):
-        cw = ham74_gen.codebook()[9]
-        y = bpsk(cw).copy()
-        y[2] += -0.8 * np.sign(y[2])  # keeps the sign, shrinks the margin
-        assert np.array_equal(ml_decode(ham74, ham74_gen, y).bits, cw)
+        cw = ham74_gen.codebook()[9:10]
+        y = bpsk(cw)
+        y[0, 2] += -0.8 * np.sign(y[0, 2])  # keeps the sign, shrinks the margin
+        assert np.array_equal(ml_decode_batch(ham74, ham74_gen, y), cw)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.01, 100.0), st.integers(0, 2**31 - 1))
@@ -256,15 +248,15 @@ class TestMlDecode:
         H = builtin_code("hamming74")
         G = systematic_generator(H)
         rng = np.random.default_rng(seed)
-        y = rng.normal(0, 1, 7)
-        assert np.array_equal(ml_decode(H, G, y).bits, ml_decode(H, G, alpha * y).bits)
+        y = rng.normal(0, 1, (1, 7))
+        assert np.array_equal(ml_decode_batch(H, G, y), ml_decode_batch(H, G, alpha * y))
 
     def test_batch_matches_single(self, ham74, ham74_gen):
         rng = np.random.default_rng(3)
         Y = rng.normal(0, 1, (64, 7))
         batch = ml_decode_batch(ham74, ham74_gen, Y)
         for i in range(64):
-            assert np.array_equal(batch[i], ml_decode(ham74, ham74_gen, Y[i]).bits)
+            assert np.array_equal(batch[i:i + 1], ml_decode_batch(ham74, ham74_gen, Y[i:i + 1]))
 
     def test_k_too_large_rejected(self):
         mat = np.zeros((2, 20), dtype=np.uint8)
@@ -279,8 +271,6 @@ class TestMlDecode:
     def test_non_finite_word_rejected(self, rep31, rep31_gen, word):
         with pytest.raises(ValueError, match="finite"):
             ml_decode_batch(rep31, rep31_gen, np.array([word]))
-        with pytest.raises(ValueError, match="finite"):
-            ml_decode(rep31, rep31_gen, np.array(word))
 
 
 class TestExhaustiveCodeInvariants:
@@ -301,9 +291,3 @@ class TestExhaustiveCodeInvariants:
         got = encode_batch(G, msgs)
         assert got.dtype == np.uint8
         assert np.array_equal(got, (msgs.astype(np.int64) @ G.matrix) % 2)
-
-    def test_encode_batch_agrees_with_encode(self, ham74_gen):
-        msgs = np.array([[1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)
-        batch = encode_batch(ham74_gen, msgs)
-        for row, msg in zip(batch, msgs):
-            assert np.array_equal(row, encode(ham74_gen, msg).bits)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diffdec.channel import bpsk, make_rng
 from diffdec.diffusion import NoiseSchedule
-from diffdec.gf2 import Codeword, ParityCheckMatrix, builtin_code, encode, hard_decision
+from diffdec.gf2 import Codeword, ParityCheckMatrix, builtin_code, encode_batch, hard_decision
 from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attention_mask,
                         bce_with_logits_mean, cosine_lr, load_checkpoint, preprocess,
                         preprocess_batch, save_checkpoint)
@@ -66,7 +66,7 @@ def _random_case(H, rng):
 
 class TestPreprocess:
     def test_clean_codeword_maps_to_ones_and_zero_syndrome(self, ham74, ham74_gen):
-        cw = encode(ham74_gen, [1, 0, 1, 1])
+        cw = encode_batch(ham74_gen, [[1, 0, 1, 1]])[0]
         feats, e = preprocess(bpsk(cw), ham74)
         assert np.array_equal(feats[:7], np.ones(7))
         assert not feats[7:].any() and e == 0
@@ -80,8 +80,8 @@ class TestPreprocess:
             assert np.array_equal(mod, base) and e_mod == e_base
 
     def test_single_flip_exposes_matching_H_column(self, ham74, ham74_gen):
-        cw = encode(ham74_gen, [0, 1, 0, 1])
-        y = bpsk(cw).copy()
+        cw = encode_batch(ham74_gen, [[0, 1, 0, 1]])[0]
+        y = bpsk(cw)
         y[4] = -y[4]
         feats, e = preprocess(y, ham74)
         assert np.array_equal(feats[7:], ham74.matrix[:, 4].astype(float))
@@ -596,6 +596,16 @@ class TestCheckpoint:
             body = body[:values_at] + struct.pack("<d", value) + body[values_at + 8:]
         path.write_bytes(_sealed(body))
         with pytest.raises(CheckpointError, match=name if value is None else "record"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, ham74, value):
+        # the CRC holds for a value written on purpose
+        model = DenoiserModel.create(ham74, ARCHS["mlp"], seed=19)
+        model.params["head.bias"].data[3] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, SCHED74, path)
+        with pytest.raises(CheckpointError, match="head.bias"):
             load_checkpoint(path)
 
     @settings(max_examples=25, deadline=None)

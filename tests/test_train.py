@@ -31,8 +31,8 @@ class TestTrainingStep:
         assert expected[0, 3] == 1.0 and expected.sum() == 1.0
         # spy on the loss target through a tiny closed form: with one flipped
         # coordinate the parity count equals that column's weight
-        from diffdec.gf2 import syndrome
-        assert syndrome(ham74, x_t[0]).weight == int(ham74.matrix[:, 3].sum())
+        from diffdec.gf2 import syndrome_weights
+        assert syndrome_weights(ham74, x_t).tolist() == [int(ham74.matrix[:, 3].sum())]
         loss = training_step(small_model, sched, 1, make_rng(0), t=t, eps=eps)
         assert np.isfinite(loss)
 
@@ -56,6 +56,18 @@ class TestTrainConfig:
     def test_bad_architecture_rejected_at_construction(self, arch):
         with pytest.raises(ValueError):
             TrainConfig(**arch)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr0", -1e-3), ("lr0", 0.0), ("lr0", np.nan), ("lr0", np.inf),
+        ("lr_min", -1e-6), ("lr_min", np.nan), ("lr_min", np.inf),
+        ("beta", 0.0), ("beta", -0.1), ("beta", np.nan), ("beta", np.inf),
+    ])
+    def test_bad_learning_rate_or_beta_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_lr_min_accepted(self):
+        assert TrainConfig(lr_min=0.0).lr_min == 0.0
 
 
 class TestTrain:
