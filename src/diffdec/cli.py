@@ -241,8 +241,21 @@ def _cmd_study(args) -> int:
 # parser plumbing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' and then a digit or '.' as a value.
+
+    Plain argparse reads only a lone negative number as a value and stops
+    ``--ebn0 -2,0`` or ``--lr0 -1e-3`` with "expected one argument".  No
+    flag here looks like a number, so nothing is lost.  The sub-command
+    parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # argparse's own hook
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffdec",
         description="diffusion decoding laboratory; pass --config FILE (a flat "
                     "'key = value' file or a previously emitted artifact) to "

@@ -177,11 +177,10 @@ class DenoiserModel:
             gate = T.mul(T.reshape(self.params["embed.weight"], (s, 1, d)),
                          T.reshape(T.gather_rows(self.params["cond.table"], counts), (1, u, d)))
             folded = T.matmul(gate, T.reshape(w1, (s, d, w1.data.shape[1])))
-            h = T.add(T.grouped_matmul(feats, group, folded), self.params[first + ".bias"])
+            h = T.grouped_matmul(feats, group, folded, self.params[first + ".bias"])
             for i in range(1, layers + 1):
                 nxt = f"hidden.{i}" if i < layers else "head"
-                h = T.add(T.matmul(T.gelu(h), self.params[nxt + ".weight"]),
-                          self.params[nxt + ".bias"])
+                h = T.linear(T.gelu(h), self.params[nxt + ".weight"], self.params[nxt + ".bias"])
             logits = h
         else:
             emb = T.mul(T.reshape(feats, (b, s, 1)), self.params["embed.weight"])
@@ -194,18 +193,17 @@ class DenoiserModel:
                 q = T.matmul(h, self.params[pre + "wq"])
                 k_ = T.matmul(h, self.params[pre + "wk"])
                 v = T.matmul(h, self.params[pre + "wv"])
-                scores = T.add(T.mul(T.matmul(q, T.swap_last_axes(k_)), scale), self._mask_bias)
-                att = T.matmul(T.softmax_last(scores), v)
+                att = T.matmul(T.attention_weights(q, k_, scale, self._mask_bias), v)
                 x = T.add(x, T.matmul(att, self.params[pre + "wo"]))
                 h2 = T.layer_norm(x, self.params[pre + "ln2.gain"], self.params[pre + "ln2.bias"])
-                f = T.gelu(T.add(T.matmul(h2, self.params[pre + "ffn1.weight"]),
-                                 self.params[pre + "ffn1.bias"]))
-                x = T.add(x, T.add(T.matmul(f, self.params[pre + "ffn2.weight"]),
-                                   self.params[pre + "ffn2.bias"]))
+                f = T.gelu(T.linear(h2, self.params[pre + "ffn1.weight"],
+                                    self.params[pre + "ffn1.bias"]))
+                x = T.add(x, T.linear(f, self.params[pre + "ffn2.weight"],
+                                      self.params[pre + "ffn2.bias"]))
             x = T.layer_norm(x, self.params["final_ln.gain"], self.params["final_ln.bias"])
             bits = T.slice_leading(x, self.n, axis=1)
-            logits = T.add(T.reshape(T.matmul(bits, self.params["head.weight"]), (b, self.n)),
-                           self.params["head.bias"])
+            logits = T.linear(bits, self.params["head.weight"], self.params["head.bias"],
+                              shape=(b, self.n))
         return T.reshape(logits, (-1,)) if single else logits
 
     def denoise(self, Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:

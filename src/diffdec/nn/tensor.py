@@ -5,9 +5,29 @@ records a closure that scatters the output gradient back to its parents.
 ``backward()`` runs the closures in reverse topological order.  Graphs are
 single-use: a second backward on the same root raises.
 
+Backward releases the graph as it goes.  Once a node's closure has run, the
+node drops its closure, its parents and its ``.grad``, so an activation or
+an interior gradient is freed as soon as no closure left to run reads it.
+Only leaves (tensors no op made, such as parameters) keep ``.grad``.
+
+No op writes into an array it was handed, operand or gradient.  Some write
+in place into arrays they allocated themselves:
+
+* ``gelu``, ``layer_norm`` and ``softmax_last`` run each step on one or two
+  scratch arrays of their own, in the order of the plain formulas;
+* ``linear`` and ``grouped_matmul`` with a bias add it into the fresh
+  product, so the graph holds one array for ``x @ w + b``;
+* ``softmax_last`` applies an optional scale and constant bias in the array
+  it computes the weights in, or in an ``out`` array the caller names;
+  ``attention_weights`` names the fresh score product, so the scores, their
+  scaled and masked forms and the weights share one array.
+
+Each gives the same bits as the chain of plain ops it replaces.
+
 Only the ops the denoiser needs are provided (broadcasted add/mul, matmul,
-a matmul with one table per group of rows, reshape, row gather, softmax,
-gelu, layer norm, stable BCE-with-logits).
+a linear layer, a matmul with one table per group of rows, reshape, row
+gather, softmax, attention weights, gelu, layer norm, stable
+BCE-with-logits).
 """
 
 from __future__ import annotations
@@ -81,11 +101,15 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            # its consumers ran first and dropped their closures, so once popped a
+            # node (data and gradient) lives only until its own closure has run
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
                 node._backward = None
                 node._parents = ()
+                node.grad = None
         self._consumed = True
 
     def __repr__(self):
@@ -164,11 +188,39 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def grouped_matmul(x, group, tables) -> Tensor:
-    """out[b] = x[b] @ tables[:, group[b], :] for x (B, s) and tables (s, G, w).
+def _add_bias(product: Tensor, bias) -> Tensor:
+    """product + bias, added in place into ``product.data``.
+
+    Only for a product this module has just made: its array is fresh, and
+    the backward of the op that made it reads that op's operands, never its
+    output.  The graph then holds one array where an ``add`` held two."""
+    bias = _wrap(bias)
+    data = np.add(product.data, bias.data, out=product.data)
+
+    def backward(grad):
+        if product.requires_grad:
+            product._accumulate(grad)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.data.shape))
+
+    return _make(data, (product, bias), backward)
+
+
+def linear(x, weight, bias, shape=None) -> Tensor:
+    """x @ weight + bias, or reshape(x @ weight, shape) + bias.
+
+    The product goes through ``matmul``; the bias is then added into the
+    product's own array (see ``_add_bias``)."""
+    product = matmul(x, weight)
+    return _add_bias(product if shape is None else reshape(product, shape), bias)
+
+
+def grouped_matmul(x, group, tables, bias=None) -> Tensor:
+    """out[b] = x[b] @ tables[:, group[b], :] (+ bias) for x (B, s) and tables (s, G, w).
 
     The rows of each group go through one product with their own table, so a
-    row costs s*w multiply-adds however many groups there are."""
+    row costs s*w multiply-adds however many groups there are.  A bias is
+    added into the product's own array (see ``_add_bias``)."""
     x, tables = _wrap(x), _wrap(tables)
     group = np.asarray(group, dtype=np.int64)
     order = np.argsort(group, kind="stable")
@@ -191,7 +243,8 @@ def grouped_matmul(x, group, tables) -> Tensor:
                 gx[rows] = grad[rows] @ tables.data[:, g].T
             x._accumulate(gx)
 
-    return _make(data, (x, tables), backward)
+    product = _make(data, (x, tables), backward)
+    return product if bias is None else _add_bias(product, bias)
 
 
 def reshape(a, shape) -> Tensor:
@@ -243,21 +296,45 @@ def gather_rows(table, idx) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def softmax_last(a) -> Tensor:
-    """Softmax over the last axis; -inf entries get exactly zero weight."""
+def softmax_last(a, scale=None, bias=None, out=None) -> Tensor:
+    """Softmax over the last axis of ``a * scale + bias``; -inf entries get
+    exactly zero weight.
+
+    ``scale`` (a number) and ``bias`` (a constant array that broadcasts to
+    ``a``'s shape, such as an attention mask of 0 and -inf) are optional.
+    Every step writes into one array: ``out`` when given (it may be
+    ``a.data``, which is then overwritten), else the first step's.  The
+    results equal those of ``mul``, ``add`` and the plain softmax bit for
+    bit, and the backward is the softmax rule followed by ``* scale``."""
     a = _wrap(a)
-    s = a.data - a.data.max(axis=-1, keepdims=True)
+    x = a.data
+    if scale is not None:
+        x = out = np.multiply(x, scale, out=out)
+    if bias is not None:
+        x = out = np.add(x, bias, out=out)
+    s = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
     def backward(grad):
-        out = np.multiply(grad, s)
-        inner = out.sum(axis=-1, keepdims=True)
-        out = np.subtract(grad, inner, out=out)
-        out *= s
-        a._accumulate(out)
+        ga = np.multiply(grad, s)
+        inner = ga.sum(axis=-1, keepdims=True)
+        ga = np.subtract(grad, inner, out=ga)
+        ga *= s
+        if scale is not None:
+            ga *= scale
+        a._accumulate(ga)
 
     return _make(s, (a,), backward)
+
+
+def attention_weights(q, k, scale, bias=None) -> Tensor:
+    """softmax_last(q @ k^T * scale + bias) in one (..., s, s) array.
+
+    The scores come from ``matmul``; their softmax overwrites them in place,
+    since the score product's backward reads q and k only."""
+    scores = matmul(q, swap_last_axes(k))
+    return softmax_last(scores, scale, bias, out=scores.data)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .channel import check_positive, make_rng
+from .channel import check_count, check_positive, make_rng
 from .diffusion import NoiseSchedule, forward_sample
 from .gf2 import ParityCheckMatrix, builtin_code
 from .nn import Adam, ArchConfig, DenoiserModel, bce_with_logits_mean, cosine_lr, preprocess_batch
@@ -39,9 +40,9 @@ class TrainConfig:
     hidden_mult: int = ArchConfig.hidden_mult
 
     def __post_init__(self):
-        if min(self.epochs, self.batches_per_epoch, self.batch_size) < 0 or \
-                self.batches_per_epoch == 0 or self.batch_size == 0:
-            raise ValueError("epochs must be >= 0 and batch counts positive")
+        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs}")
+        check_count(batches_per_epoch=self.batches_per_epoch, batch_size=self.batch_size)
         check_positive(beta=self.beta, lr0=self.lr0)
         if not (np.isfinite(self.lr_min) and self.lr_min >= 0):
             raise ValueError(f"lr_min must be a finite number >= 0, got {self.lr_min}")

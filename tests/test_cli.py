@@ -71,6 +71,22 @@ class TestBench:
         assert main(["bench", "--config", str(out1), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_negative_ebn0_list_parses_in_either_form(self, tmp_path, capsys):
+        # argparse once took a value such as -2,0 for a flag: exit 2, "expected one argument"
+        base = ["bench", "--code", "rep31", "--decoder", "ml", "--seed", "4",
+                "--min-words", "200", "--min-error-frames", "5", "--max-words", "400"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(base + ["--ebn0", "-2,0", "--out", str(spaced)]) == 0
+        assert main(base + ["--ebn0=-2,0", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        text = spaced.read_text()
+        assert "# ebn0 = -2,0\n" in text
+        assert "\nml,-2.0," in text and "\nml,0.0," in text
+
+    def test_flag_after_a_flag_is_still_a_missing_value(self, capsys):
+        assert main(["bench", "--code", "rep31", "--ebn0", "--seed", "3"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_model_decoder_and_bp_through_the_cli(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--code", "rep31", "--epochs", "2",
@@ -120,6 +136,17 @@ class TestTrainCli:
                      "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 1
         assert "error:" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_negative_learning_rate_reads_the_same_in_either_form(self, tmp_path, capsys):
+        errors = []
+        for lr0 in (["--lr0", "-1e-3"], ["--lr0=-1e-3"]):
+            ckpt = tmp_path / "m.ckpt"
+            assert main(["train", "--code", "rep31", "--epochs", "1", *lr0,
+                         "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 1
+            assert not ckpt.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == "error: lr0 must be a positive finite number, got -0.001\n"
 
     def test_training_run_is_reproducible(self, tmp_path, capsys):
         args = ["train", "--code", "rep31", "--epochs", "2",

@@ -1,5 +1,6 @@
 import struct
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attent
                         preprocess_batch, save_checkpoint)
 from diffdec.nn import tensor as T
 from diffdec.nn.tensor import Tensor
+from diffdec.training import training_step
 from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
 
 # Parameter gradients of _reference_case_grads as computed before the weight
@@ -280,6 +282,129 @@ class TestInPlaceOps:
         assert np.array_equal(t.grad, (inv / d) * (d * dxhat - gsum - xhat * gdot))
         for p, want in ((gain, (probe * xhat).sum(axis=(0, 1))), (bias, probe.sum(axis=(0, 1)))):
             assert np.abs(p.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _forward_and_grads(build, arrays, probe):
+    """build(*tensors) over leaves that share the caller's arrays, and each leaf's gradient."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    _loss_of(out, probe).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def _attention_case(lead, s=6, d=4):
+    rng = np.random.default_rng(46)
+    q, k = rng.normal(0, 2, lead + (s, d)), rng.normal(0, 2, lead + (s, d))
+    allow = rng.random((s, s)) < 0.5
+    np.fill_diagonal(allow, True)  # every row keeps a partner, as in attention_mask
+    return [q, k], np.where(allow, 0.0, -np.inf), rng.normal(size=lead + (s, s))
+
+
+class TestFusedOps:
+    """The fused ops equal the chains of plain ops they replace bit for bit, in the
+    forward and in every gradient, and leave every array they are handed unchanged."""
+
+    SCALE = 1.0 / np.sqrt(4)
+
+    @staticmethod
+    def _assert_same_as_chain(fused, chain, arrays, probe, constants=()):
+        before = [a.tobytes() for a in (*arrays, *constants)]
+        want, want_grads = _forward_and_grads(chain, arrays, probe)
+        got, got_grads = _forward_and_grads(fused, arrays, probe)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_grads, want_grads, strict=True):
+            assert np.array_equal(g, w)
+        with T.no_grad():
+            out = fused(*(Tensor(a, requires_grad=True) for a in arrays))
+        assert not out.requires_grad and np.array_equal(out.data, want)
+        assert [a.tobytes() for a in (*arrays, *constants)] == before
+
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["2d", "3d"])
+    def test_linear_equals_matmul_then_add(self, lead):
+        rng = np.random.default_rng(47)
+        arrays = [rng.normal(size=lead + (6, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)]
+        self._assert_same_as_chain(T.linear, lambda x, w, b: T.add(T.matmul(x, w), b),
+                                   arrays, rng.normal(size=lead + (6, 3)))
+
+    def test_linear_with_a_shape_equals_matmul_reshape_then_add(self):
+        # the attention head: a (B, n, 1) product read as (B, n) logits, one shared bias
+        rng = np.random.default_rng(48)
+        arrays = [rng.normal(size=(5, 7, 4)), rng.normal(size=(4, 1)), rng.normal(size=1)]
+        self._assert_same_as_chain(
+            lambda x, w, b: T.linear(x, w, b, shape=(5, 7)),
+            lambda x, w, b: T.add(T.reshape(T.matmul(x, w), (5, 7)), b),
+            arrays, rng.normal(size=(5, 7)))
+
+    def test_grouped_matmul_with_bias_equals_grouped_matmul_then_add(self):
+        rng = np.random.default_rng(49)
+        group = np.array([2, 0, 2, 3, 0, 2, 0, 0, 3])
+        arrays = [rng.normal(size=(9, 5)), rng.normal(size=(5, 4, 3)), rng.normal(size=3)]
+        self._assert_same_as_chain(
+            lambda x, t, b: T.grouped_matmul(x, group, t, b),
+            lambda x, t, b: T.add(T.grouped_matmul(x, group, t), b),
+            arrays, rng.normal(size=(9, 3)), constants=(group,))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
+    def test_attention_weights_equal_matmul_mul_add_softmax(self, lead):
+        arrays, mask, probe = _attention_case(lead)
+        self._assert_same_as_chain(
+            lambda q, k: T.attention_weights(q, k, self.SCALE, mask),
+            lambda q, k: T.softmax_last(T.add(T.mul(T.matmul(q, T.swap_last_axes(k)),
+                                                    self.SCALE), mask)),
+            arrays, probe, constants=(mask,))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
+    def test_scaled_masked_softmax_equals_mul_add_softmax(self, lead):
+        (scores, _), mask, probe = _attention_case(lead, d=6)
+        self._assert_same_as_chain(
+            lambda a: T.softmax_last(a, self.SCALE, mask),
+            lambda a: T.softmax_last(T.add(T.mul(a, self.SCALE), mask)),
+            [scores], probe, constants=(mask,))
+
+    def test_masked_pairs_get_zero_weight_and_zero_gradient(self):
+        arrays, mask, probe = _attention_case((3,))
+        weights, (gq, gk) = _forward_and_grads(
+            lambda q, k: T.attention_weights(q, k, self.SCALE, mask), arrays, probe)
+        assert not weights[..., mask == -np.inf].any()
+        assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        assert np.isfinite(gq).all() and np.isfinite(gk).all()
+
+
+class TestGraphRelease:
+    def test_interior_gradients_are_released_and_leaves_keep_theirs(self):
+        rng = np.random.default_rng(50)
+        x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in ((4, 6, 5), (5, 3), (3,)))
+        h = T.linear(x, w, b)
+        g = T.gelu(h)
+        loss = _loss_of(g, rng.normal(size=(4, 6, 3)))
+        loss.backward()
+        assert h.grad is None and g.grad is None and loss.grad is None
+        assert [t.grad.shape for t in (x, w, b)] == [(4, 6, 5), (5, 3), (3,)]
+
+    @pytest.mark.parametrize("backbone", list(ARCHS))
+    def test_every_parameter_keeps_its_gradient(self, ham74, backbone):
+        model = DenoiserModel.create(ham74, ARCHS[backbone], seed=51)
+        training_step(model, SCHED74, 16, make_rng(51))
+        for name, p in model.params.items():
+            assert p.grad is not None and p.grad.shape == p.data.shape, name
+
+    def test_warm_masked_attention_step_peak_memory(self, ham74):
+        # Hamming(7,4), d = 32, 2 layers, batch 128: 29.4 MiB while backward kept
+        # every interior gradient and the bias, scale and mask adds had arrays of
+        # their own; 20.7 MiB without them
+        model = DenoiserModel.create(
+            ham74, ArchConfig("masked_attention", embed_dim=32, layers=2), seed=0)
+        schedule = NoiseSchedule.constant(0.25, 3)
+        rng = make_rng(52)
+        training_step(model, schedule, 128, rng)  # warm: the parameters hold gradients
+        tracemalloc.start()
+        try:
+            training_step(model, schedule, 128, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBce:

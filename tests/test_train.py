@@ -69,6 +69,20 @@ class TestTrainConfig:
     def test_zero_lr_min_accepted(self):
         assert TrainConfig(lr_min=0.0).lr_min == 0.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 1.5), ("epochs", -1), ("epochs", "3"),
+        ("batches_per_epoch", 2.5), ("batches_per_epoch", 0), ("batches_per_epoch", -2),
+        ("batch_size", 2.5), ("batch_size", 0), ("batch_size", np.float64(8.0)),
+    ])
+    def test_non_integer_or_out_of_range_count_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(code="rep31", **{field: value})
+
+    def test_zero_epochs_and_numpy_integer_counts_accepted(self):
+        cfg = TrainConfig(code="rep31", epochs=0, batches_per_epoch=np.int64(3),
+                          batch_size=np.int32(8))
+        assert (cfg.epochs, cfg.batches_per_epoch, cfg.batch_size) == (0, 3, 8)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialized_model_and_empty_history(self, rep31):
