@@ -15,11 +15,11 @@ between decoders run under the same convention.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bp import CALL_MESSAGES, TannerGraph, bp_decode_batch
+from .bp import bp_decode_batch
 from .channel import EbN0Point, awgn_batch, bpsk, check_count, ebn0_to_sigma, make_rng
 from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
@@ -27,18 +27,26 @@ from .gf2 import GeneratorMatrix, ParityCheckMatrix, encode_batch, ml_decode_bat
     syndrome_weights, systematic_generator
 
 DECODER_KINDS = ("ddecc", "ddecc-ls", "bp", "ml")
+# Edge messages per call up to which run_ber packs BP rounds into one call
+# (1 MiB per float64 message array).  An iteration has a fixed cost
+# whatever its width, so the few words of a short code that run every
+# iteration then share it with the other rounds' stragglers.
+CALL_MESSAGES = 2**17
 
 
 def artifact(report: str, config: dict | None, columns: str, rows) -> str:
     """CSV artifact text: a ``# diffdec.report = <report>`` line, one
     ``# key = value`` line per config entry (sorted by key), the column
-    header and the data rows.  The comment lines let the artifact serve as
+    header and one line per row of values.  A field is written by one rule:
+    a float (numpy's too) as ``repr(float(v))``, None as an empty field and
+    anything else with ``str``.  The comment lines let the artifact serve as
     a ``--config`` file that reproduces it."""
     config = config or {}
     lines = [f"# diffdec.report = {report}"]
     lines += [f"# {key} = {config[key]}" for key in sorted(config)]
     lines.append(columns)
-    lines += rows
+    lines += [",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -108,34 +116,23 @@ class BerReport:
     seed: int
     workers: int
     stop: StopRule
-    config: dict[str, object] = field(default_factory=dict)
 
-    def to_csv(self) -> str:
-        echo = {"seed": self.seed, "workers": self.workers,
-                "min_words": self.stop.min_words,
-                "min_error_frames": self.stop.min_error_frames,
-                "max_words": self.stop.max_words}
-        echo.update(self.config)
-        rows = [",".join(_csv_field(getattr(p, c)) for c in CSV_COLUMNS) for p in self.points]
-        return artifact("bench", echo, ",".join(CSV_COLUMNS), rows)
-
-
-def _csv_field(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    def to_csv(self, config: dict | None = None) -> str:
+        """The bench artifact; ``config`` is echoed over the seed, workers and stop rule."""
+        echo = {"seed": self.seed, "workers": self.workers, **asdict(self.stop), **(config or {})}
+        return artifact("bench", echo, ",".join(CSV_COLUMNS),
+                        [[getattr(p, c) for c in CSV_COLUMNS] for p in self.points])
 
 
 def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: float,
                   model=None, schedule: NoiseSchedule | None = None,
-                  decode_config: DecodeConfig | None = None, bp_iters: int = 50,
-                  graph: TannerGraph | None = None):
+                  decode_config: DecodeConfig | None = None, bp_iters: int = 50):
     """Returns batch decoder: Y -> (bits, iters)."""
     if kind == "ml":
         return lambda Y: (ml_decode_batch(H, G, Y), np.zeros(len(Y), dtype=np.int64))
     if kind == "bp":
         def run_bp(Y):
-            bits, _, iters, _ = bp_decode_batch(H, Y, sigma, bp_iters, graph=graph)
+            bits, _, iters, _ = bp_decode_batch(H, Y, sigma, bp_iters)
             return bits, iters
         return run_bp
     if kind in ("ddecc", "ddecc-ls"):
@@ -174,7 +171,7 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
             seed: int = 0, workers: int = 1, model=None,
             schedule: NoiseSchedule | None = None,
             decode_config: DecodeConfig | None = None, bp_iters: int = 50,
-            batch_size: int = 1024, config_echo: dict | None = None) -> BerReport:
+            batch_size: int = 1024) -> BerReport:
     """Estimate BER/FER at each EbN0 point; deterministic given the seed.
 
     Rounds of ``batch_size`` words are drawn in turn from the point's
@@ -187,8 +184,9 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     """
     check_count(workers=workers, batch_size=batch_size, bp_iters=bp_iters)
     G = systematic_generator(code)
-    graph = TannerGraph(code) if decoder == "bp" else None
-    per_call = max(1, CALL_MESSAGES // (batch_size * graph.num_slots)) if graph else 1
+    # a word has one BP edge message per check slot
+    per_call = (max(1, CALL_MESSAGES // (batch_size * code.check_cols.size))
+                if decoder == "bp" else 1)
     rate = code.k / code.n
     points = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -196,7 +194,7 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
         for point_idx, db in enumerate(ebn0_list):
             sigma = ebn0_to_sigma(EbN0Point(db, rate))
             run = _make_decoder(decoder, code, G, sigma, model, schedule,
-                                decode_config, bp_iters, graph)
+                                decode_config, bp_iters)
             rng = make_rng(seed, stream=point_idx)
             point = BerPoint(decoder, float(db), sigma, 0, 0, 0, 0, 0, 0)
             while not stop.satisfied(point.words, point.frame_errors):
@@ -222,7 +220,7 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
                     point.iter_sum += int(iters.sum())
                     point.iter_sumsq += int((iters**2).sum())
             points.append(point)
-    return BerReport(points, seed, workers, stop, dict(config_echo or {}))
+    return BerReport(points, seed, workers, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +246,6 @@ def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
     return rows
 
 
-def parity_noise_csv(rows, config: dict | None = None) -> str:
-    return artifact("parity-noise", config, "sigma,mean_parity_errors,std_parity_errors",
-                    [f"{repr(s)},{repr(m)},{repr(d)}" for s, m, d in rows])
-
-
 def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
                      ebn0_db: float, samples: int = 1000, seed: int = 0,
                      config: DecodeConfig = DecodeConfig()) -> tuple[np.ndarray, np.ndarray]:
@@ -272,33 +265,21 @@ def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
     return grid, counts
 
 
-def lambda_histogram_csv(grid, counts, config: dict | None = None) -> str:
-    return artifact("lambda-hist", config, "step_size,count",
-                    [f"{repr(float(g))},{int(c)}" for g, c in zip(grid, counts)])
-
-
 def forward_process_trace(schedule: NoiseSchedule, trajectories: int,
-                          rng: np.random.Generator, steps: int | None = None) -> list[tuple]:
+                          rng: np.random.Generator) -> list[tuple]:
     """Stepwise forward-walk coordinates of modulated (3,1) repetition codewords.
 
     Each trajectory starts at +-(1,1,1) (a random codeword) and follows the
-    Markov chain x_t = x_{t-1} + sqrt(beta_t) z.  Rows: (traj, t, x, y, z).
+    Markov chain x_t = x_{t-1} + sqrt(beta_t) z for t = 1..T.  Rows: (traj, t, x, y, z).
     """
-    steps = schedule.T if steps is None else int(steps)
-    if not 0 <= steps <= schedule.T:
-        raise ValueError(f"steps must lie in 0..{schedule.T}")
     check_count(trajectories=trajectories)
     rows = []
     for traj in range(trajectories):
         sign = 1.0 if rng.random() < 0.5 else -1.0
         x = np.full(3, sign)
         rows.append((traj, 0, float(x[0]), float(x[1]), float(x[2])))
-        for t in range(1, steps + 1):
+        for t in range(1, schedule.T + 1):
             x = x + np.sqrt(schedule.beta(t)) * rng.standard_normal(3)
             rows.append((traj, t, float(x[0]), float(x[1]), float(x[2])))
     return rows
 
-
-def forward_trace_csv(rows, config: dict | None = None) -> str:
-    return artifact("forward-trace", config, "trajectory,t,x0,x1,x2",
-                    [f"{tr},{t},{repr(a)},{repr(b)},{repr(c)}" for tr, t, a, b, c in rows])

@@ -30,18 +30,12 @@ from .gf2 import ParityCheckMatrix, hard_decision, padded_support, word_batch
 
 LLR_CLAMP = 30.0
 _ATANH_EPS = 1e-15
-# Edge messages per call up to which bench.run_ber packs BP rounds into one
-# call (1 MiB per float64 message array).  An iteration has a fixed cost
-# whatever its width, so the few words of a short code that run every
-# iteration then share it with the other rounds' stragglers.
-CALL_MESSAGES = 2**17
 
 
 class TannerGraph:
     """Position-major slot view of H: the bit each slot reads and the slots each bit sums."""
 
     def __init__(self, H: ParityCheckMatrix):
-        self.code = H
         m, d_c = H.check_cols.shape
         cols = H.check_cols.T.ravel()
         self.check_shape = (d_c, m)
@@ -78,15 +72,11 @@ def check_update(messages: np.ndarray, graph: TannerGraph,
     return prod.reshape(messages.shape)
 
 
-def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int = 50,
-                    graph: TannerGraph | None = None):
+def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int = 50):
     """Decode a (B, n) batch; returns (bits, converged, iters, posteriors)."""
     check_positive(sigma=sigma)
     check_count(max_iters=max_iters)
-    graph = graph or TannerGraph(H)
-    if not np.array_equal(graph.code.matrix, H.matrix):
-        raise ValueError(f"Tanner graph is built from another parity-check matrix "
-                         f"({graph.code!r}) than the code given ({H!r})")
+    graph = TannerGraph(H)
     Y = word_batch(Y, H.n)
     llr = np.clip(2.0 * Y / sigma**2, -LLR_CLAMP, LLR_CLAMP)
     bits = hard_decision(llr)

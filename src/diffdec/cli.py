@@ -24,8 +24,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bench import DECODER_KINDS, StopRule, artifact, forward_process_trace, forward_trace_csv, \
-    lambda_histogram, lambda_histogram_csv, parity_noise_csv, parity_noise_study, run_ber
+from .bench import DECODER_KINDS, StopRule, artifact, forward_process_trace, lambda_histogram, \
+    parity_noise_study, run_ber
 from .channel import make_rng
 from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
@@ -159,9 +159,8 @@ def _cmd_train(args) -> int:
     model, report = train(config, code=code)
     metadata = {key: str(value) for key, value in asdict(config).items()}
     save_checkpoint(model, report.schedule, args.out, metadata)
-    _write(args.report, artifact(
-        "train", _echo(args), "epoch,mean_loss",
-        [f"{i},{repr(loss)}" for i, loss in enumerate(report.epoch_losses)]))
+    _write(args.report, artifact("train", _echo(args), "epoch,mean_loss",
+                                 enumerate(report.epoch_losses)))
     print(f"trained {code_id} ({config.backbone}) for {config.epochs} epochs; "
           f"final loss {report.final_loss}; wall {report.wall_seconds:.1f}s; "
           f"checkpoint {args.out}", file=sys.stderr)
@@ -177,10 +176,10 @@ def _cmd_decode(args) -> int:
     rows = []
     for w, outcome in enumerate(result.outcomes()):
         for i, step in enumerate(outcome.trace, 1):
-            rows.append(f"{w},step,{i},{step.parity_errors},{repr(step.step_size)},"
-                        f"{step.weight_after},,,")
-        rows.append(f"{w},result,,,,,{_bits_str(outcome.bits)},"
-                    f"{outcome.converged},{outcome.iters_used}")
+            rows.append((w, "step", i, step.parity_errors, step.step_size, step.weight_after,
+                         None, None, None))
+        rows.append((w, "result", None, None, None, None, _bits_str(outcome.bits),
+                     outcome.converged, outcome.iters_used))
     _write(args.out, artifact(
         "decode", _echo(args),
         "word,row,iteration,parity_errors,step_size,weight_after,bits,converged,iters_used",
@@ -200,9 +199,8 @@ def _cmd_bench(args) -> int:
     report = run_ber(args.decoder, code, _float_list(args.ebn0), stop=stop,
                      seed=args.seed, workers=args.workers, model=model,
                      schedule=schedule, decode_config=_decode_config(args),
-                     bp_iters=args.bp_iters, batch_size=args.batch_size,
-                     config_echo=_echo(args))
-    _write(args.out, report.to_csv())
+                     bp_iters=args.bp_iters, batch_size=args.batch_size)
+    _write(args.out, report.to_csv(_echo(args)))
     return 0
 
 
@@ -212,28 +210,27 @@ def _cmd_oracle(args) -> int:
     Y = _read_words(args.infile, code.n)
     bits = ml_decode_batch(code, G, Y)
     _write(args.out, artifact("oracle", _echo(args), "word,bits",
-                              [f"{w},{_bits_str(row)}" for w, row in enumerate(bits)]))
+                              [(w, _bits_str(row)) for w, row in enumerate(bits)]))
     return 0
 
 
 def _cmd_study(args) -> int:
     code, _ = _resolve_code(args)
-    echo = _echo(args)
     if args.kind == "parity-noise":
+        columns = "sigma,mean_parity_errors,std_parity_errors"
         rows = parity_noise_study(code, _float_list(args.sigmas), args.samples, args.seed)
-        _write(args.out, parity_noise_csv(rows, echo))
     elif args.kind == "lambda-hist":
         if not args.checkpoint:
             raise ValueError("lambda-hist requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, code=code)
-        grid, counts = lambda_histogram(ckpt.model, code, ckpt.schedule, args.ebn0_point,
-                                        args.samples, args.seed, _decode_config(args))
-        _write(args.out, lambda_histogram_csv(grid, counts, echo))
+        columns = "step_size,count"
+        rows = zip(*lambda_histogram(ckpt.model, code, ckpt.schedule, args.ebn0_point,
+                                     args.samples, args.seed, _decode_config(args)))
     else:  # forward-trace
-        schedule = NoiseSchedule.constant(args.beta, args.steps)
-        rows = forward_process_trace(schedule, args.trajectories,
-                                     make_rng(args.seed, stream=31), steps=args.steps)
-        _write(args.out, forward_trace_csv(rows, echo))
+        columns = "trajectory,t,x0,x1,x2"
+        rows = forward_process_trace(NoiseSchedule.constant(args.beta, args.steps),
+                                     args.trajectories, make_rng(args.seed, stream=31))
+    _write(args.out, artifact(args.kind, _echo(args), columns, rows))
     return 0
 
 

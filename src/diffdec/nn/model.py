@@ -33,9 +33,11 @@ by a learned conditioning row indexed by the parity-error count e in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
+from ..channel import check_count, make_rng
 from ..gf2 import ParityCheckMatrix, hard_decision, single_word
 from . import tensor as T
 from .tensor import Tensor
@@ -53,8 +55,9 @@ class ArchConfig:
     def __post_init__(self):
         if self.backbone not in BACKBONES:
             raise ValueError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
-        if self.embed_dim < 1 or self.layers < 0 or self.hidden_mult < 1:
-            raise ValueError("embed_dim/hidden_mult must be >= 1 and layers >= 0")
+        check_count(embed_dim=self.embed_dim, hidden_mult=self.hidden_mult)
+        if not (isinstance(self.layers, Integral) and self.layers >= 0):
+            raise ValueError(f"layers must be an integer >= 0, got {self.layers}")
 
 
 def attention_mask(H: np.ndarray) -> np.ndarray:
@@ -107,7 +110,7 @@ class DenoiserModel:
         n, k = code.n, code.k
         s = 2 * n - k
         d = arch.embed_dim
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = make_rng(seed)
         params: dict[str, Tensor] = {}
 
         def param(name, array):

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 import diffdec.bench
-from diffdec.bench import (StopRule, forward_process_trace, forward_trace_csv, lambda_histogram,
-                           parity_noise_csv, parity_noise_study, run_ber)
+from diffdec.bench import (StopRule, artifact, forward_process_trace, lambda_histogram,
+                           parity_noise_study, run_ber)
 from diffdec.channel import EbN0Point, ebn0_to_sigma, make_rng
 from diffdec.decoding import DecodeConfig
 from diffdec.diffusion import NoiseSchedule
 from diffdec.nn import ArchConfig, DenoiserModel
 from diffdec.bp import bp_decode_batch
 from oracles import pseudo_ldpc_49_24, qfunc
+
+
+class TestArtifact:
+    def test_one_rule_per_field(self):
+        # np.float64 is a float whose numpy-2 repr reads np.float64(...)
+        row = (np.float64(0.1), 0.25, None, np.int64(7), True, "0101", np.float64(2.0))
+        text = artifact("x", {"seed": 3, "a": "b"}, "c", [row])
+        assert text == "# diffdec.report = x\n# a = b\n# seed = 3\nc\n0.1,0.25,,7,True,0101,2.0\n"
 
 
 class TestStopRule:
@@ -224,7 +232,8 @@ class TestParityNoiseStudy:
 
     def test_csv_layout(self, ham74):
         rows = parity_noise_study(ham74, [0.0, 1.0], samples=100, seed=0)
-        csv = parity_noise_csv(rows, {"code": "hamming74"})
+        csv = artifact("parity-noise", {"code": "hamming74"},
+                       "sigma,mean_parity_errors,std_parity_errors", rows)
         lines = csv.splitlines()
         assert lines[0].startswith("#") and "sigma,mean" in lines[2]
         assert len(lines) == 5
@@ -296,8 +305,8 @@ class TestForwardTrace:
             forward_process_trace(NoiseSchedule.constant(0.05, 4), trajectories, make_rng(0))
 
     def test_row_count_matches_request(self):
-        sched = NoiseSchedule.constant(0.05, 8)
-        rows = forward_process_trace(sched, trajectories=7, rng=make_rng(7), steps=5)
+        sched = NoiseSchedule.constant(0.05, 5)
+        rows = forward_process_trace(sched, trajectories=7, rng=make_rng(7))
         assert len(rows) == 7 * 6
-        csv = forward_trace_csv(rows)
+        csv = artifact("forward-trace", None, "trajectory,t,x0,x1,x2", rows)
         assert len(csv.splitlines()) == 2 + len(rows)

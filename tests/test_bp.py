@@ -226,17 +226,6 @@ class TestBpDecode:
         with pytest.raises(ValueError, match="max_iters"):
             bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), 0.8, max_iters)
 
-    def test_graph_of_another_code_of_the_same_dimensions_rejected(self, ham74):
-        # the reversed columns once decoded silently with the other code's structure
-        permuted = ParityCheckMatrix(ham74.matrix[:, ::-1])
-        assert (permuted.n, permuted.k) == (ham74.n, ham74.k)
-        assert not np.array_equal(permuted.matrix, ham74.matrix)
-        Y = make_rng(8).normal(0, 1, (4, 7))
-        with pytest.raises(ValueError, match="another parity-check matrix"):
-            bp_decode_batch(ham74, Y, 0.8, graph=TannerGraph(permuted))
-        own = bp_decode_batch(ham74, Y, 0.8, graph=TannerGraph(ParityCheckMatrix(ham74.matrix)))
-        assert all(np.array_equal(a, b) for a, b in zip(own, bp_decode_batch(ham74, Y, 0.8)))
-
 
 class TestPackedBatches:
     """Words are decoded independently: one call on several batches stacked

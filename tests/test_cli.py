@@ -148,6 +148,13 @@ class TestTrainCli:
         assert errors[0] == errors[1]
         assert errors[0] == "error: lr0 must be a positive finite number, got -0.001\n"
 
+    def test_negative_seed_trains(self, tmp_path, capsys):
+        # the initial weights once came from Philox(key=seed), which rejects a negative key
+        assert main(["train", "--code", "rep31", "--epochs", "1", "--batches-per-epoch", "2",
+                     "--batch-size", "8", "--embed-dim", "4", "--layers", "1", "--seed", "-3",
+                     "--out", str(tmp_path / "m.ckpt"),
+                     "--report", str(tmp_path / "r.csv")]) == 0
+
     def test_training_run_is_reproducible(self, tmp_path, capsys):
         args = ["train", "--code", "rep31", "--epochs", "2",
                 "--batches-per-epoch", "5", "--batch-size", "16",
@@ -373,6 +380,64 @@ class TestArtifactEcho:
             assert flags <= set(echoed), (command, flags - set(echoed))
             assert echoed["command"] == command
             assert "out" not in echoed and "report" not in echoed
+
+
+# Column header and data rows of the decode, oracle and study artifacts on
+# Hamming(7,4), with an untrained checkpoint and fixed seeds: step rows leave
+# the result cells empty, result rows the step cells, and `converged` reads
+# True or False.  Recorded before one writer formatted every artifact's rows.
+PINNED_WORDS = "0.9 1.1 -0.2 0.8 1.0 0.7 1.2\n-0.3 0.4 0.9 -1.1 0.2 -0.8 0.5\n1 1 1 1 1 1 1\n"
+PINNED_ARTIFACTS = {
+    "decode-regular": (
+        ["decode", "--mode", "regular", "--checkpoint", "{ckpt}", "--in", "{words}"],
+        ["word,row,iteration,parity_errors,step_size,weight_after,bits,converged,iters_used",
+         "0,step,1,2,1.0,2,,,", "0,step,2,2,1.0,2,,,", "0,step,3,2,1.0,1,,,",
+         "0,result,,,,,1010001,False,3",
+         "1,step,1,2,1.0,2,,,", "1,step,2,2,1.0,0,,,", "1,result,,,,,1001001,True,2",
+         "2,result,,,,,0000000,True,0"]),
+    "decode-ls": (
+        ["decode", "--checkpoint", "{ckpt}", "--in", "{words}"],
+        ["word,row,iteration,parity_errors,step_size,weight_after,bits,converged,iters_used",
+         "0,step,1,2,2.0,0,,,", "0,result,,,,,1011010,True,1",
+         "1,step,1,2,3.0,1,,,", "1,step,2,1,1.0,1,,,", "1,step,3,1,1.0,1,,,",
+         "1,result,,,,,1100010,False,3",
+         "2,result,,,,,0000000,True,0"]),
+    "oracle": (
+        ["oracle", "--in", "{words}"],
+        ["word,bits", "0,0000000", "1,0101010", "2,0000000"]),
+    "lambda-hist": (
+        ["study", "--kind", "lambda-hist", "--checkpoint", "{ckpt}", "--samples", "40",
+         "--seed", "2", "--ls-count", "4"],
+        ["step_size,count", "1.0,7", "7.333333333333333,3", "13.666666666666666,1", "20.0,0"]),
+    "parity-noise": (
+        ["study", "--kind", "parity-noise", "--sigmas", "0,0.5,1.25", "--samples", "30",
+         "--seed", "4"],
+        ["sigma,mean_parity_errors,std_parity_errors", "0.0,0.0,0.0",
+         "0.5,0.16666666666666666,0.521749194749951", "1.25,1.2,0.9797958971132713"]),
+    "forward-trace": (
+        ["study", "--kind", "forward-trace", "--steps", "2", "--trajectories", "2",
+         "--beta", "0.05", "--seed", "6"],
+        ["trajectory,t,x0,x1,x2",
+         "0,0,1.0,1.0,1.0",
+         "0,1,1.2651317124356058,1.1344239026765013,1.1808237340239889",
+         "0,2,0.9957680000870506,0.7501228578864538,1.180862045827117",
+         "1,0,-1.0,-1.0,-1.0",
+         "1,1,-1.246226038827285,-0.7602159543707089,-0.927430594062721",
+         "1,2,-1.6015612120335927,-0.8932274623070924,-0.41230507332472155"]),
+}
+
+
+class TestPinnedArtifactRows:
+    @pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+    def test_rows(self, tmp_path, capsys, name):
+        ckpt, words, out = tmp_path / "m.ckpt", tmp_path / "w.txt", tmp_path / "a.csv"
+        model = DenoiserModel.create(builtin_code("hamming74"), ArchConfig("mlp", 8, 1), seed=3)
+        save_checkpoint(model, NoiseSchedule.constant(0.3, 3), ckpt, {"code": "hamming74"})
+        words.write_text(PINNED_WORDS)
+        template, rows = PINNED_ARTIFACTS[name]
+        args = [a.format(ckpt=ckpt, words=words) for a in template]
+        assert main([args[0], "--code", "hamming74", *args[1:], "--out", str(out)]) == 0
+        assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == rows
 
 
 class TestConfigParsing:

@@ -52,10 +52,12 @@ class TestTrainingStep:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("arch", [{"backbone": "bogus"}, {"embed_dim": 0},
-                                      {"layers": -1}, {"hidden_mult": 0}])
+                                      {"layers": -1}, {"hidden_mult": 0},
+                                      {"embed_dim": 2.5}, {"layers": 1.5},
+                                      {"hidden_mult": 2.5}, {"layers": np.float64(2.0)}])
     def test_bad_architecture_rejected_at_construction(self, arch):
-        with pytest.raises(ValueError):
-            TrainConfig(**arch)
+        with pytest.raises(ValueError, match=next(iter(arch))):
+            TrainConfig(code="rep31", **arch)
 
     @pytest.mark.parametrize("field,value", [
         ("lr0", -1e-3), ("lr0", 0.0), ("lr0", np.nan), ("lr0", np.inf),
