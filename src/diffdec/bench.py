@@ -59,7 +59,9 @@ class StopRule:
     max_words: int = 100_000
 
     def __post_init__(self):
-        if self.min_words < 1 or self.min_error_frames < 0 or self.max_words < self.min_words:
+        check_count(min_words=self.min_words, max_words=self.max_words)
+        check_count(0, min_error_frames=self.min_error_frames)
+        if self.max_words < self.min_words:
             raise ValueError(f"inconsistent stop rule {self}")
 
     def satisfied(self, words: int, error_frames: int) -> bool:
@@ -183,6 +185,9 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     number of rounds per call gives the same report.
     """
     check_count(workers=workers, batch_size=batch_size, bp_iters=bp_iters)
+    ebn0_list = list(ebn0_list)
+    if not ebn0_list:
+        raise ValueError("ebn0_list names no EbN0 point")
     G = systematic_generator(code)
     # a word has one BP edge message per check slot
     per_call = (max(1, CALL_MESSAGES // (batch_size * code.check_cols.size))
@@ -260,8 +265,7 @@ def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
     Y = awgn_batch(encode_batch(G, msgs), sigma, rng)
     result = decode_batch(model, code, schedule, Y, config)
     grid = config.grid()
-    chosen = np.array([step.step_size for trace in result.traces for step in trace])
-    counts = np.array([(chosen == lam).sum() for lam in grid], dtype=np.int64)
+    counts = np.array([(result.step_sizes == lam).sum() for lam in grid], dtype=np.int64)
     return grid, counts
 
 

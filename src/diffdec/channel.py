@@ -36,6 +36,8 @@ class EbN0Point:
     rate: float
 
     def __post_init__(self):
+        if not np.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be a finite number of dB, got {self.ebn0_db}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0,1), got {self.rate}")
 
@@ -65,11 +67,11 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
-def check_count(**values) -> None:
-    """Raise ValueError naming the first value that is not an integer >= 1."""
+def check_count(least: int = 1, /, **values) -> None:
+    """Raise ValueError naming the first value that is not an integer >= ``least``."""
     for name, value in values.items():
-        if not (isinstance(value, Integral) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        if not (isinstance(value, Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 def awgn_batch(X: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -175,9 +175,9 @@ def _cmd_decode(args) -> int:
     result = decode_batch(ckpt.model, code, ckpt.schedule, Y, config)
     rows = []
     for w, outcome in enumerate(result.outcomes()):
-        for i, step in enumerate(outcome.trace, 1):
-            rows.append((w, "step", i, step.parity_errors, step.step_size, step.weight_after,
-                         None, None, None))
+        rows += [(w, "step", t + 1, result.parity_errors[t, w], result.step_sizes[t, w],
+                  result.weights_after[t, w], None, None, None)
+                 for t in range(outcome.iters_used)]
         rows.append((w, "result", None, None, None, None, _bits_str(outcome.bits),
                      outcome.converged, outcome.iters_used))
     _write(args.out, artifact(

@@ -16,7 +16,7 @@ normal outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -54,31 +54,29 @@ class DecodeConfig:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    parity_errors: int
-    step_size: float
-    weight_after: int
-
-
-@dataclass(frozen=True)
 class DecodeOutcome:
     bits: np.ndarray
     converged: bool
     iters_used: int
-    trace: tuple[TraceStep, ...]
 
 
 @dataclass
 class BatchResult:
+    """A decoded (B, n) batch.  Row t of each step array holds reverse step
+    t+1 of every word: ``parity_errors`` (gamma before the step),
+    ``step_sizes`` (the chosen lam) and ``weights_after`` (the syndrome
+    weight after it).  A word's rows past ``iters`` hold 0, which no grid
+    value equals; an untraced decode keeps zero rows."""
+
     bits: np.ndarray  # (B, n)
     converged: np.ndarray  # (B,) bool
     iters: np.ndarray  # (B,) int
-    traces: list[list[TraceStep]] = field(default_factory=list)
+    parity_errors: np.ndarray  # (steps, B) int
+    step_sizes: np.ndarray  # (steps, B) float
+    weights_after: np.ndarray  # (steps, B) int
 
     def outcomes(self) -> list[DecodeOutcome]:
-        traces = self.traces or [[] for _ in range(len(self.bits))]
-        return [DecodeOutcome(self.bits[i], bool(self.converged[i]),
-                              int(self.iters[i]), tuple(traces[i]))
+        return [DecodeOutcome(self.bits[i], bool(self.converged[i]), int(self.iters[i]))
                 for i in range(len(self.bits))]
 
 
@@ -111,7 +109,8 @@ def _ls_pick(H: ParityCheckMatrix, Y: np.ndarray, eps_hat: np.ndarray,
 def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.ndarray,
                  config: DecodeConfig = DecodeConfig(),
                  collect_traces: bool = True) -> BatchResult:
-    """Decode a (B, n) batch of received words."""
+    """Decode a (B, n) batch of received words; with ``collect_traces``
+    False the result keeps zero step rows."""
     num_checks = H.n - H.k
     if schedule.T < num_checks:
         raise ValueError(f"schedule has T={schedule.T} < n-k={num_checks}")
@@ -123,9 +122,10 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
 
     S = H.syndrome_bits(hard_decision(Y))  # kept equal to the syndrome of Y
     iters = np.zeros(B, dtype=np.int64)
-    traces: list[list[TraceStep]] = [[] for _ in range(B)] if collect_traces else []
+    rows = limit if collect_traces else 0
+    gammas, lams, after = (np.zeros((rows, B), dtype) for dtype in (np.int64, float, np.int64))
     alive = np.arange(B)
-    for _ in range(limit):
+    for step in range(limit):
         alive = alive[S[alive].any(axis=1)]
         if alive.size == 0:
             break
@@ -137,8 +137,8 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
         lam, Y[alive], S[alive] = _ls_pick(H, Y_alive, eps_hat, coeff, grid)
         iters[alive] += 1
         if collect_traces:
-            w_after = S[alive].sum(axis=1)
-            for j, word in enumerate(alive):
-                traces[word].append(
-                    TraceStep(int(gamma[j]), float(lam[j]), int(w_after[j])))
-    return BatchResult(hard_decision(Y), ~S.any(axis=1), iters, traces)
+            gammas[step, alive], lams[step, alive] = gamma, lam
+            after[step, alive] = S[alive].sum(axis=1)
+    steps = iters.max(initial=0)  # every step row past it is all zeros
+    return BatchResult(hard_decision(Y), ~S.any(axis=1), iters,
+                       gammas[:steps], lams[:steps], after[:steps])

@@ -10,7 +10,7 @@ Conventions used throughout the package:
   with ``sign(0) := +1`` so that ``bin(0) = 0`` (deterministic);
 * the syndrome of ``y`` is ``H @ bin(y)`` over GF(2);
 * encoding, syndromes and ML decoding take batches, (B, k) messages or
-  (B, n) words; ``single_word`` makes one word a (1, n) batch.
+  (B, n) words.
 """
 
 from __future__ import annotations
@@ -212,14 +212,6 @@ def word_batch(Y, n: int) -> np.ndarray:
     return Y
 
 
-def single_word(y, n: int) -> np.ndarray:
-    """Check that ``y`` is one finite length-n real word; return it as a (1, n) batch."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ValueError(f"expected a length-{n} word, got shape {y.shape}")
-    return word_batch(y[None, :], n)
-
-
 def syndrome_weights(H: ParityCheckMatrix, Y: np.ndarray) -> np.ndarray:
     """Parity-error counts of a (B, n) batch of real vectors."""
     return H.syndrome_bits(hard_decision(Y)).sum(axis=-1).astype(np.int64)
@@ -277,29 +269,29 @@ def load_alist(text: str, name: str = "") -> ParityCheckMatrix:
     if max(col_deg) > max_col or max(row_deg) > max_row:
         raise AlistFormatError("degree list exceeds declared maximum degree")
 
-    mat = np.zeros((m, n), dtype=np.uint8)
-    for col in range(n):
-        entries = [e for e in parsed[4 + col] if e != 0]
-        if len(entries) != col_deg[col]:
-            raise AlistFormatError(
-                f"column {col + 1} lists {len(entries)} rows, degree says {col_deg[col]}")
-        for e in entries:
-            if not 1 <= e <= m:
-                raise AlistFormatError(f"row index {e} out of range 1..{m} in column {col + 1}")
-            mat[e - 1, col] = 1
-    from_rows = np.zeros((m, n), dtype=np.uint8)
-    for row in range(m):
-        entries = [e for e in parsed[4 + n + row] if e != 0]
-        if len(entries) != row_deg[row]:
-            raise AlistFormatError(
-                f"row {row + 1} lists {len(entries)} columns, degree says {row_deg[row]}")
-        for e in entries:
-            if not 1 <= e <= n:
-                raise AlistFormatError(f"column index {e} out of range 1..{n} in row {row + 1}")
-            from_rows[row, e - 1] = 1
-    if not np.array_equal(mat, from_rows):
+    from_cols = _neighbor_matrix(parsed[4:4 + n], col_deg, m, "column", "row")
+    from_rows = _neighbor_matrix(parsed[4 + n:], row_deg, n, "row", "column")
+    if not np.array_equal(from_cols.T, from_rows):
         raise AlistFormatError("column and row neighbor lists disagree")
-    return ParityCheckMatrix(mat, name=name)
+    return ParityCheckMatrix(from_rows, name=name)
+
+
+def _neighbor_matrix(lists, degrees, size: int, owner: str, member: str) -> np.ndarray:
+    """The 0/1 matrix of 1-based alist neighbor lists, one row per list.
+
+    Zero entries are dropped; each list must hold as many entries as its
+    degree, each in 1..size."""
+    mat = np.zeros((len(lists), size), dtype=np.uint8)
+    for i, (listed, degree) in enumerate(zip(lists, degrees), 1):
+        entries = [e for e in listed if e != 0]
+        if len(entries) != degree:
+            raise AlistFormatError(
+                f"{owner} {i} lists {len(entries)} {member}s, degree says {degree}")
+        for e in entries:
+            if not 1 <= e <= size:
+                raise AlistFormatError(f"{member} index {e} out of range 1..{size} in {owner} {i}")
+            mat[i - 1, e - 1] = 1
+    return mat
 
 
 def to_alist(H: ParityCheckMatrix) -> str:

@@ -33,12 +33,11 @@ by a learned conditioning row indexed by the parity-error count e in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from ..channel import check_count, make_rng
-from ..gf2 import ParityCheckMatrix, hard_decision, single_word
+from ..gf2 import ParityCheckMatrix, hard_decision, word_batch
 from . import tensor as T
 from .tensor import Tensor
 
@@ -56,8 +55,7 @@ class ArchConfig:
         if self.backbone not in BACKBONES:
             raise ValueError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
         check_count(embed_dim=self.embed_dim, hidden_mult=self.hidden_mult)
-        if not (isinstance(self.layers, Integral) and self.layers >= 0):
-            raise ValueError(f"layers must be an integer >= 0, got {self.layers}")
+        check_count(0, layers=self.layers)
 
 
 def attention_mask(H: np.ndarray) -> np.ndarray:
@@ -74,8 +72,11 @@ def attention_mask(H: np.ndarray) -> np.ndarray:
 
 
 def preprocess(y: np.ndarray, H: ParityCheckMatrix) -> tuple[np.ndarray, int]:
-    """Map a received word to ([|y|, s(y)], parity-error count)."""
-    feats, e = preprocess_batch(single_word(y, H.n), H)
+    """Map one finite length-n received word to ([|y|, s(y)], parity-error count)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (H.n,):
+        raise ValueError(f"expected a length-{H.n} word, got shape {y.shape}")
+    feats, e = preprocess_batch(word_batch(y[None, :], H.n), H)
     return feats[0], int(e[0])
 
 

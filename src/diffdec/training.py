@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -40,8 +39,7 @@ class TrainConfig:
     hidden_mult: int = ArchConfig.hidden_mult
 
     def __post_init__(self):
-        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
-            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs}")
+        check_count(0, epochs=self.epochs)
         check_count(batches_per_epoch=self.batches_per_epoch, batch_size=self.batch_size)
         check_positive(beta=self.beta, lr0=self.lr0)
         if not (np.isfinite(self.lr_min) and self.lr_min >= 0):
@@ -58,7 +56,6 @@ class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     final_loss: float | None = None
     wall_seconds: float = 0.0
-    seed: int = 0
     schedule: NoiseSchedule | None = None  # the one trained with; checkpoints store it
 
 
@@ -93,7 +90,7 @@ def train(config: TrainConfig, code: ParityCheckMatrix | None = None
     model = DenoiserModel.create(H, config.arch, seed=config.seed)
     rng = make_rng(config.seed, stream=1)
     opt = Adam(model.params)
-    report = TrainReport(seed=config.seed, schedule=schedule)
+    report = TrainReport(schedule=schedule)
     start = time.perf_counter()
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)

@@ -39,7 +39,7 @@ def test_each_batch_row_equals_its_one_row_batch(code_and_rng, sigma, mode):
     bp = bp_decode_batch(H, Y, sigma, max_iters=10)
     schedule = NoiseSchedule.constant(0.1, H.num_checks)
     config = DecodeConfig(mode=mode, ls_grid=(1.0, 5.0, 5))
-    dd = decode_batch(flip_logits, H, schedule, Y, config).outcomes()
+    dd = decode_batch(flip_logits, H, schedule, Y, config)
 
     for i in range(BATCH):
         row = slice(i, i + 1)
@@ -48,7 +48,8 @@ def test_each_batch_row_equals_its_one_row_batch(code_and_rng, sigma, mode):
         assert np.array_equal(ml_decode_batch(H, G, Y[row]), ml_bits[row])
         for alone, packed in zip(bp_decode_batch(H, Y[row], sigma, max_iters=10), bp):
             assert np.array_equal(alone, packed[row])  # bits, converged, iters, posteriors
-        one, = decode_batch(flip_logits, H, schedule, Y[row], config).outcomes()
-        assert np.array_equal(one.bits, dd[i].bits)
-        assert (one.converged, one.iters_used, one.trace) == \
-            (dd[i].converged, dd[i].iters_used, dd[i].trace)
+        one = decode_batch(flip_logits, H, schedule, Y[row], config)
+        assert np.array_equal(one.bits, dd.bits[row])
+        assert one.converged[0] == dd.converged[i] and one.iters[0] == dd.iters[i]
+        for name in ("parity_errors", "step_sizes", "weights_after"):  # its first iters[i] steps
+            assert np.array_equal(getattr(one, name), getattr(dd, name)[:dd.iters[i], row])

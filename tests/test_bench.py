@@ -34,8 +34,18 @@ class TestStopRule:
         assert rule.satisfied(2000, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inconsistent stop rule"):
             StopRule(1000, 10, 500)
+
+    @pytest.mark.parametrize("kw, name", [
+        (dict(min_words=1500.5, max_words=3000), "min_words"),
+        (dict(min_words=1000, max_words=3000.0), "max_words"),
+        (dict(min_words=0), "min_words"),
+        (dict(min_error_frames=2.5), "min_error_frames"),
+        (dict(min_error_frames=-1), "min_error_frames")])
+    def test_counts_must_be_integers(self, kw, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            StopRule(**kw)
 
 
 # Hamming(7,4) rows of run_ber at one worker, recorded before the worker
@@ -262,7 +272,7 @@ class TestLambdaHistogram:
         msgs = rng.integers(0, 2, size=(400, G.k), dtype=np.uint8)
         Y = awgn_batch(encode_batch(G, msgs), sigma, rng)
         res = decode_batch(model, ham74, schedule, Y)
-        invocations = sum(len(t) for t in res.traces)
+        invocations = int(res.iters.sum())  # one line search per reverse step
         assert counts.sum() == invocations
 
     def test_regular_mode_rejected(self, ham74, trained_ham74):

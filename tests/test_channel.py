@@ -34,6 +34,12 @@ class TestEbn0:
         with pytest.raises(ValueError):
             EbN0Point(4.0, 1.0)
 
+    @pytest.mark.parametrize("db", [np.inf, -np.inf, np.nan])
+    def test_non_finite_ebn0_rejected(self, db):
+        # -inf once divided by zero in ebn0_to_sigma; inf and nan blamed sigma
+        with pytest.raises(ValueError, match="ebn0_db must be a finite"):
+            EbN0Point(db, 0.5)
+
 
 class TestAwgn:
     def test_tiny_sigma_limit_keeps_signs(self, ham74_gen):

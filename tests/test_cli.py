@@ -83,6 +83,22 @@ class TestBench:
         assert "# ebn0 = -2,0\n" in text
         assert "\nml,-2.0," in text and "\nml,0.0," in text
 
+    @pytest.mark.parametrize("ebn0", ["-inf", "inf", "nan", "4,-inf"])
+    def test_non_finite_ebn0_is_reported(self, tmp_path, capsys, ebn0):
+        out = tmp_path / "ber.csv"
+        assert main(["bench", "--code", "rep31", f"--ebn0={ebn0}", "--min-words", "100",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: ebn0_db must be a finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_ebn0_sweep_is_reported(self, tmp_path, capsys):
+        # once exited 0 with a CSV holding only its header
+        out = tmp_path / "ber.csv"
+        assert main(["bench", "--code", "rep31", "--ebn0", "", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_after_a_flag_is_still_a_missing_value(self, capsys):
         assert main(["bench", "--code", "rep31", "--ebn0", "--seed", "3"]) == 2
         assert "expected one argument" in capsys.readouterr().err
@@ -328,6 +344,19 @@ class TestStudyCli:
         assert main(["study", "--kind", "lambda-hist", "--code", "rep31", "--checkpoint",
                      str(ckpt), "--samples", samples, "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ebn0", ["-inf", "inf", "nan"])
+    def test_lambda_hist_rejects_non_finite_ebn0(self, tmp_path, capsys, ebn0):
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "lh.csv"
+        assert main(["train", "--code", "rep31", "--epochs", "0", "--embed-dim", "8",
+                     "--layers", "1", "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 0
+        capsys.readouterr()
+        assert main(["study", "--kind", "lambda-hist", "--code", "rep31", "--checkpoint",
+                     str(ckpt), f"--ebn0-point={ebn0}", "--samples", "10",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: ebn0_db must be a finite" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("trajectories", ["0", "-2"])

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffdec.channel import bpsk, make_rng
-from diffdec.decoding import DecodeConfig, _ls_pick, decode_batch
+from diffdec.decoding import MODES, DecodeConfig, _ls_pick, decode_batch
 from diffdec.diffusion import NoiseSchedule, noise_coefficients, posterior_coefficients
 from diffdec.gf2 import Codeword, ParityCheckMatrix, syndrome_weights, systematic_generator
 from diffdec.nn import ArchConfig, DenoiserModel
 from oracles import codes, oracle_denoiser
 
 SCHED74 = NoiseSchedule.constant(0.01, 3)
+STEP_ARRAYS = ("parity_errors", "step_sizes", "weights_after")
+
+
+def taken(res) -> np.ndarray:
+    """(steps, B) mask of the step rows each word of a BatchResult took."""
+    return np.arange(len(res.step_sizes))[:, None] < res.iters
 
 
 def counting(denoiser):
@@ -33,9 +40,11 @@ class TestDecodeBasics:
     def test_zero_syndrome_returns_immediately_without_model_call(self, ham74, ham74_gen):
         cw = ham74_gen.codebook()[11]
         fn, calls = counting(oracle_denoiser(bpsk(Codeword(cw))))
-        out = decode_batch(fn, ham74, SCHED74, bpsk(cw[None, :])).outcomes()[0]
+        res = decode_batch(fn, ham74, SCHED74, bpsk(cw[None, :]))
+        out = res.outcomes()[0]
         assert np.array_equal(out.bits, cw)
-        assert out.converged and out.iters_used == 0 and out.trace == ()
+        assert out.converged and out.iters_used == 0
+        assert all(getattr(res, name).shape == (0, 1) for name in STEP_ARRAYS)
         assert calls["n"] == 0
 
     def test_oracle_denoiser_fixes_every_single_flip(self, ham74, ham74_gen):
@@ -114,6 +123,33 @@ class TestDecodeBasics:
         assert not out.converged and out.iters_used == 3
 
 
+class TestStepArrays:
+    @settings(max_examples=30, deadline=None)
+    @given(codes(), st.sampled_from(MODES))
+    def test_traced_decode_equals_untraced_and_records_each_step(self, code_and_rng, mode):
+        H, rng = code_and_rng
+        model = DenoiserModel.create(H, ArchConfig("mlp", 8, 1), seed=int(rng.integers(100)))
+        schedule = NoiseSchedule.constant(0.05, H.num_checks)
+        Y = rng.normal(0, 1, (16, H.n))
+        config = DecodeConfig(mode=mode, ls_grid=(1.0, 5.0, 5))
+        res = decode_batch(model, H, schedule, Y, config)
+        plain = decode_batch(model, H, schedule, Y, config, collect_traces=False)
+        assert np.array_equal(res.bits, plain.bits)
+        assert np.array_equal(res.converged, plain.converged)
+        assert np.array_equal(res.iters, plain.iters)
+        steps = taken(res)
+        assert len(steps) == res.iters.max(initial=0)
+        for name in STEP_ARRAYS:
+            assert getattr(plain, name).shape == (0, len(Y))
+            assert not getattr(res, name)[~steps].any()
+        assert np.isin(res.step_sizes[steps], config.grid()).all()
+        stepped = np.flatnonzero(res.iters)
+        if stepped.size:  # step 1 starts at the received word, the last one ends at the bits
+            assert np.array_equal(res.parity_errors[0, stepped], syndrome_weights(H, Y)[stepped])
+            assert np.array_equal(res.weights_after[res.iters[stepped] - 1, stepped],
+                                  H.syndrome_bits(res.bits[stepped]).sum(axis=1))
+
+
 class TestOneSyndromePerStep:
     @pytest.mark.parametrize("mode", ["regular", "line_search"])
     def test_one_syndrome_up_front_and_one_per_reverse_step(self, ham74, mode, monkeypatch):
@@ -176,10 +212,9 @@ class TestLineSearch:
         reg = decode_batch(model, ham74, SCHED74, Y, DecodeConfig(mode="regular"))
         assert np.array_equal(ls.bits, reg.bits)
         assert np.array_equal(ls.iters, reg.iters)
-        for a, b in zip(ls.traces, reg.traces):
-            assert a == b
-        steps = [step.step_size for trace in reg.traces for step in trace]
-        assert steps == [1.0] * int(reg.iters.sum())
+        for name in STEP_ARRAYS:
+            assert np.array_equal(getattr(ls, name), getattr(reg, name))
+        assert np.array_equal(reg.step_sizes, taken(reg).astype(float))  # 1.0 on every step
 
     @pytest.mark.parametrize("ls_grid", [(np.nan, 20.0, 20), (1.0, np.nan, 20), (1.0, np.inf, 20),
                                          (-np.inf, 20.0, 20), (1.0, 20.0, 2.5), (1.0, 20.0, 20.0),
