@@ -178,11 +178,13 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
 
     Rounds of ``batch_size`` words are drawn in turn from the point's
     stream, never past ``stop.max_words`` and no more than the stop rule is
-    likely to fold (``_rounds_to_draw``).  BP decodes as many rounds per call as fit in
-    ``CALL_MESSAGES`` edge messages, the other decoders one; calls run
-    ``workers`` at a time.  Rounds are folded in the order drawn, and those
-    after the stop rule is met are dropped, so every worker count and every
-    number of rounds per call gives the same report.
+    likely to fold (``_rounds_to_draw``); of the round that crosses
+    ``max_words`` only the words up to it are folded.  BP decodes as many
+    rounds per call as fit in ``CALL_MESSAGES`` edge messages, the other
+    decoders one; calls run ``workers`` at a time.  Rounds are folded in
+    the order drawn, and those after the stop rule is met are dropped, so
+    every worker count and every number of rounds per call gives the same
+    report.
     """
     check_count(workers=workers, batch_size=batch_size, bp_iters=bp_iters)
     ebn0_list = list(ebn0_list)
@@ -217,6 +219,9 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
                 for X, (bits, iters) in zip(Xs, rounds):
                     if stop.satisfied(point.words, point.frame_errors):
                         break
+                    # the round that crosses max_words is folded up to it
+                    fold = min(len(X), stop.max_words - point.words)
+                    X, bits, iters = X[:fold], bits[:fold], iters[:fold]
                     wrong = bits != X
                     point.words += len(X)
                     point.bits_sent += X.size
@@ -237,6 +242,8 @@ def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
     """Mean/std of the parity-error count of noisy random codewords per sigma."""
     check_count(samples=samples)
     sigmas = [float(sigma) for sigma in sigmas]
+    if not sigmas:
+        raise ValueError("sigmas names no noise level")
     if not all(np.isfinite(sigma) and sigma >= 0 for sigma in sigmas):
         raise ValueError(f"sigmas must be finite and >= 0 (0 is noiseless), got {sigmas}")
     G = systematic_generator(code)

@@ -27,7 +27,12 @@ by a learned conditioning row indexed by the parity-error count e in
   positions that share a parity check (magnitude i <-> syndrome r iff
   H[r,i]=1, magnitude i <-> magnitude j iff some check contains both,
   syndrome tokens only attend to themselves), plus self-connections.
-  Logits are read off the first n tokens with a shared linear head.
+  Logits are read off the first n tokens with a shared linear head, so the
+  last block computes only those bit tokens: its keys and values come from
+  every token, its queries, attention output, feed-forward and the final
+  layer norm from the first n alone (with no block, the n tokens go
+  straight to the final layer norm).  The logits equal those of running
+  every token through every block and slicing at the end, bit for bit.
 """
 
 from __future__ import annotations
@@ -191,13 +196,20 @@ class DenoiserModel:
             psi = T.gather_rows(self.params["cond.table"], e_arr)
             x = T.mul(emb, T.reshape(psi, (b, 1, -1)))
             scale = 1.0 / np.sqrt(d)
-            for i in range(self.arch.layers):
+            layers = self.arch.layers
+            if not layers:
+                x = T.slice_leading(x, self.n, axis=1)
+            for i in range(layers):
                 pre = f"blocks.{i}."
                 h = T.layer_norm(x, self.params[pre + "ln1.gain"], self.params[pre + "ln1.bias"])
-                q = T.matmul(h, self.params[pre + "wq"])
                 k_ = T.matmul(h, self.params[pre + "wk"])
                 v = T.matmul(h, self.params[pre + "wv"])
-                att = T.matmul(T.attention_weights(q, k_, scale, self._mask_bias), v)
+                if i == layers - 1:  # the head reads the bit tokens alone: only they go on
+                    h = T.slice_leading(h, self.n, axis=1)
+                    x = T.slice_leading(x, self.n, axis=1)
+                q = T.matmul(h, self.params[pre + "wq"])
+                bias = self._mask_bias[:h.data.shape[1]]
+                att = T.matmul(T.attention_weights(q, k_, scale, bias), v)
                 x = T.add(x, T.matmul(att, self.params[pre + "wo"]))
                 h2 = T.layer_norm(x, self.params[pre + "ln2.gain"], self.params[pre + "ln2.bias"])
                 f = T.gelu(T.linear(h2, self.params[pre + "ffn1.weight"],
@@ -205,8 +217,7 @@ class DenoiserModel:
                 x = T.add(x, T.linear(f, self.params[pre + "ffn2.weight"],
                                       self.params[pre + "ffn2.bias"]))
             x = T.layer_norm(x, self.params["final_ln.gain"], self.params["final_ln.bias"])
-            bits = T.slice_leading(x, self.n, axis=1)
-            logits = T.linear(bits, self.params["head.weight"], self.params["head.bias"],
+            logits = T.linear(x, self.params["head.weight"], self.params["head.bias"],
                               shape=(b, self.n))
         return T.reshape(logits, (-1,)) if single else logits
 

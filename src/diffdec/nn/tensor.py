@@ -170,16 +170,26 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul expects operands with ndim >= 2")
-    data = a.data @ b.data
+    # a stack of activations times one weight: every product is one GEMM over
+    # all leading rows, not one per matrix of the stack (and a sum, for b's gradient)
+    stacked = b.data.ndim == 2 < a.data.ndim
+    k, n = b.data.shape[-2:]
+    if a.data.shape[-1] != k:
+        raise ValueError(f"matmul shapes {a.data.shape} and {b.data.shape} do not align")
+    if stacked:
+        data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+    else:
+        data = a.data @ b.data
 
     def backward(grad):
         if a.requires_grad:
-            ga = grad @ b.data.swapaxes(-1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
+            if stacked:
+                a._accumulate((grad.reshape(-1, n) @ b.data.T).reshape(a.data.shape))
+            else:
+                ga = grad @ b.data.swapaxes(-1, -2)
+                a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            if b.data.ndim == 2 < a.data.ndim:
-                # one GEMM over all leading rows, not a (..., K, N) product and its sum
-                k, n = b.data.shape
+            if stacked:
                 b._accumulate(a.data.reshape(-1, k).T @ grad.reshape(-1, n))
             else:
                 gb = a.data.swapaxes(-1, -2) @ grad

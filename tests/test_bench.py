@@ -94,7 +94,7 @@ class TestRunBer:
     def test_noise_free_regime_reports_zero_ber_and_no_log(self, rep31):
         report = run_ber("ml", rep31, [20.0], stop=StopRule(10_000, 100, 10_000), seed=1)
         point = report.points[0]
-        assert point.words >= 10_000  # capped by max_words, rounded up to a batch
+        assert point.words == 10_000  # capped at max_words
         assert point.bit_errors == 0 and point.ber == 0.0
         assert point.neg_ln_ber is None
         last = report.to_csv().splitlines()[-1]
@@ -163,6 +163,13 @@ class TestRunBer:
         assert report.points[0].words == 2600
         assert sum(bp_calls) <= math.ceil(stop.max_words / 200) * 200
         assert max(bp_calls) > 200  # rounds are packed
+
+    def test_point_stops_at_max_words_inside_a_round(self, rep31):
+        # one 1024-word round crosses the cap; only its first 200 words count
+        # (`bench --min-words 100 --max-words 200` once reported 1024 words)
+        report = run_ber("ml", rep31, [4.0, 5.0], StopRule(100, 100, 200), seed=0)
+        assert [(p.words, p.bits_sent) for p in report.points] == [(200, 600)] * 2
+        assert all(p.frame_errors <= 200 for p in report.points)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_stopped_at_min_words_decodes_no_later_round(self, rep31, workers, bp_calls):
@@ -239,6 +246,10 @@ class TestParityNoiseStudy:
     def test_negative_or_non_finite_sigma_rejected(self, ham74, bad):
         with pytest.raises(ValueError, match="finite and >= 0"):
             parity_noise_study(ham74, [0.0, bad, 1.0], samples=10, seed=0)
+
+    def test_empty_sigma_list_rejected(self, ham74):
+        with pytest.raises(ValueError, match="names no noise level"):
+            parity_noise_study(ham74, [], samples=10, seed=0)
 
     def test_csv_layout(self, ham74):
         rows = parity_noise_study(ham74, [0.0, 1.0], samples=100, seed=0)

@@ -319,6 +319,14 @@ class TestStudyCli:
         assert body[0] == "sigma,mean_parity_errors,std_parity_errors"
         assert len(body) == 4
 
+    def test_parity_noise_rejects_an_empty_sigma_list(self, tmp_path, capsys):
+        # once exited 0 with a CSV holding only its header
+        out = tmp_path / "pn.csv"
+        assert main(["study", "--kind", "parity-noise", "--sigmas", "",
+                     "--samples", "50", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigmas", ["nan,-0.5,inf", "0,nan", "-0.5", "0.5,inf"])
     def test_parity_noise_rejects_bad_sigmas(self, tmp_path, capsys, sigmas):
         out = tmp_path / "pn.csv"

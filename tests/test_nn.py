@@ -58,6 +58,28 @@ def _assert_folded_forward_matches_unfolded(H, layers, seed):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def _dense_attention_logits(model, feats, e):
+    """The masked-attention forward with every token through every block and
+    the final layer norm, sliced to the bit tokens only for the head."""
+    p = model.params
+    b, s = feats.shape
+    x = T.mul(T.mul(T.reshape(Tensor(feats), (b, s, 1)), p["embed.weight"]),
+              T.reshape(T.gather_rows(p["cond.table"], e), (b, 1, -1)))
+    for i in range(model.arch.layers):
+        pre = f"blocks.{i}."
+        h = T.layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        q, k, v = (T.matmul(h, p[pre + w]) for w in ("wq", "wk", "wv"))
+        weights = T.attention_weights(q, k, 1.0 / np.sqrt(model.arch.embed_dim),
+                                      np.where(model.mask, 0.0, -np.inf))
+        x = T.add(x, T.matmul(T.matmul(weights, v), p[pre + "wo"]))
+        h2 = T.layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        f = T.gelu(T.linear(h2, p[pre + "ffn1.weight"], p[pre + "ffn1.bias"]))
+        x = T.add(x, T.linear(f, p[pre + "ffn2.weight"], p[pre + "ffn2.bias"]))
+    x = T.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
+    return T.linear(T.slice_leading(x, model.n), p["head.weight"], p["head.bias"],
+                    shape=(b, model.n)).data
+
+
 def _random_case(H, rng):
     y = rng.normal(0, 1, H.n)
     y[y == 0] = 0.1
@@ -154,6 +176,54 @@ class TestForward:
                                atol=1e-12)
 
 
+class TestBitTokenForward:
+    """The masked-attention forward carries only the bit tokens through the last block."""
+
+    @staticmethod
+    def _model_and_batch(H, layers, seed):
+        model = DenoiserModel.create(H, ArchConfig("masked_attention", embed_dim=8,
+                                                   layers=layers), seed=seed)
+        rng = np.random.default_rng(seed)
+        for t in model.params.values():  # off the initial point: nonzero biases, uneven gains
+            t.data += rng.normal(0, 0.3, t.data.shape)
+        feats, e = preprocess_batch(rng.normal(1, 1.5, (24, H.n)), H)
+        return model, feats, e
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("code", ["rep31", "hamming74", "ldpc49"])
+    def test_logits_equal_the_dense_forward_bit_for_bit(self, code, layers):
+        H = pseudo_ldpc_49_24() if code == "ldpc49" else builtin_code(code)
+        model, feats, e = self._model_and_batch(H, layers, seed=60 + layers)
+        with T.no_grad():
+            want = _dense_attention_logits(model, feats, e)
+            assert np.array_equal(model.forward(feats, e).data, want)
+        out = model.forward(feats, e)
+        assert out.requires_grad
+        assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_last_block_products_have_one_row_per_bit(self, ham74, monkeypatch, layers):
+        model, feats, e = self._model_and_batch(ham74, layers, seed=63)
+        operands = []
+        matmul = T.matmul
+
+        def recording_matmul(a, b):
+            operands.append((b, np.shape(a.data if isinstance(a, Tensor) else a)))
+            return matmul(a, b)
+
+        monkeypatch.setattr(T, "matmul", recording_matmul)
+        model.forward(feats, e)
+        names = {id(p): name for name, p in model.params.items()}
+        rows = {names[id(b)]: shape[:-1] for b, shape in operands if id(b) in names}
+        n, s, last = ham74.n, 2 * ham74.n - ham74.k, f"blocks.{layers - 1}."
+        for w in ("wq", "wo", "ffn1.weight", "ffn2.weight"):
+            assert rows[last + w] == (len(feats), n), w
+        for w in ("wk", "wv"):  # keys and values still come from every token
+            assert rows[last + w] == (len(feats), s), w
+        if layers == 2:
+            assert rows["blocks.0.ffn2.weight"] == (len(feats), s)
+
+
 class TestFoldedFrontEnd:
     @pytest.mark.parametrize("layers", [0, 1, 2])
     @pytest.mark.parametrize("code", ["rep31", "hamming74", "ldpc49"])
@@ -207,7 +277,23 @@ class TestMatmulWeightGradient:
         _loss_of(T.matmul(a, w), probe).backward()
         want = sum(a.data[i].T @ probe[i] for i in np.ndindex(*lead))
         assert np.abs(w.grad - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(a.grad, probe @ w.data.T)  # the input gradient stays batched
+        # one GEMM over the leading rows gives the batched product's bits at these shapes
+        assert np.array_equal(a.grad, probe @ w.data.T)
+
+    @pytest.mark.parametrize("a_shape, w_shape", [((128, 10, 128), (128, 32)),
+                                                  ((128, 10, 32), (32, 32))])
+    def test_attention_shapes_take_one_gemm(self, a_shape, w_shape):
+        rng = np.random.default_rng(44)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        out = T.matmul(a, w)
+        assert np.array_equal(out.data, np.matmul(a.data, w.data))
+        probe = rng.normal(size=out.data.shape)
+        _loss_of(out, probe).backward()
+        n = w_shape[1]
+        assert np.array_equal(a.grad, (probe.reshape(-1, n) @ w.data.T).reshape(a_shape))
+        batched = probe @ w.data.T
+        assert np.abs(a.grad - batched).max() <= 1e-15 * np.abs(batched).max()
 
     def test_batched_weight_gradient_stays_per_matrix(self):
         # the attention scores: 3-D @ 3-D, one product per batch entry
@@ -392,7 +478,8 @@ class TestGraphRelease:
     def test_warm_masked_attention_step_peak_memory(self, ham74):
         # Hamming(7,4), d = 32, 2 layers, batch 128: 29.4 MiB while backward kept
         # every interior gradient and the bias, scale and mask adds had arrays of
-        # their own; 20.7 MiB without them
+        # their own; 20.7 MiB without them; 17.4 MiB once the last block carried
+        # the bit tokens alone
         model = DenoiserModel.create(
             ham74, ArchConfig("masked_attention", embed_dim=32, layers=2), seed=0)
         schedule = NoiseSchedule.constant(0.25, 3)
@@ -404,7 +491,7 @@ class TestGraphRelease:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 19 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBce:
