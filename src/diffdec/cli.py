@@ -1,14 +1,18 @@
 """Command-line front end: train / decode / bench / oracle / study.
 
 Settings come from flags or from a flat ``key = value`` config file
-(``--config``); flags override file values.  Every artifact embeds its
-effective configuration as ``# key = value`` comment lines, and such an
-artifact can itself be passed back via ``--config`` to reproduce the run
-byte for byte.  The flags that set a config dataclass field (TrainConfig,
-StopRule, the DecodeConfig grid) take their name, type and default from
-that field, and those of ``bench`` that pass a ``run_ber`` keyword take its
-default.  ``bench --workers`` only sets how many decoder calls run at
-once: the artifact depends on the seed, not on the worker count.
+(``--config FILE`` or ``--config=FILE``).  The file's keys that name a flag
+of the subcommand are replayed as those flags, ahead of the explicit ones:
+file values are parsed and checked exactly like flags (a bad one is a usage
+error, exit 2), explicit flags override them, and other keys are ignored.
+Every artifact embeds its effective configuration as ``# key = value``
+comment lines, so it can itself be passed back via ``--config`` to
+reproduce the run byte for byte.  The flags that set a config dataclass
+field (TrainConfig, StopRule, the DecodeConfig grid) take their name, type
+and default from that field, and those of ``bench`` that pass a
+``run_ber`` keyword take its default.  ``bench --workers`` only sets how
+many decoder calls run at once: the artifact depends on the seed, not on
+the worker count.
 """
 
 from __future__ import annotations
@@ -35,31 +39,19 @@ from .nn import load_checkpoint, save_checkpoint
 from .nn.model import BACKBONES
 from .training import TrainConfig, train
 
-_CONFIG_LINE = re.compile(r"^#?\s*([A-Za-z0-9_.-]+)\s+=\s+(.*)$")
+_CONFIG_LINE = re.compile(r"^#?\s*([A-Za-z0-9_.-]+)\s*=\s*(.*)$")
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; a leading '#' is stripped, so emitted
-    artifacts double as config files.  Other lines are ignored."""
+    """Flat ``key = value`` (or ``key=value``) lines; a leading '#' is
+    stripped, so emitted artifacts double as config files.  Other lines are
+    ignored."""
     values: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
         match = _CONFIG_LINE.match(line.strip())
         if match:
             values[match.group(1).replace("-", "_")] = match.group(2).strip()
     return values
-
-
-def _preload(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
-    """Install config-file strings as parser defaults with matching types.
-
-    A required flag that the file supplies is no longer required."""
-    out = {}
-    for action in parser._actions:  # argparse has no public default registry
-        if action.dest in values:
-            raw = values[action.dest]
-            out[action.dest] = raw if action.type is None else action.type(raw)
-            action.required = False
-    parser.set_defaults(**out)
 
 
 # Parsed values that are not settings of the run: replaying an artifact must
@@ -134,7 +126,10 @@ def _read_words(path: str, n: int) -> np.ndarray:
     for ln, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        vals = [float(tok) for tok in line.split()]
+        try:
+            vals = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
         if len(vals) != n:
             raise ValueError(f"line {ln}: expected {n} soft values, got {len(vals)}")
         if not all(map(math.isfinite, vals)):
@@ -191,9 +186,7 @@ def _cmd_bench(args) -> int:
     code, _ = _resolve_code(args)
     stop = _from_fields(StopRule, args)
     model = schedule = None
-    if args.decoder in ("ddecc", "ddecc-ls"):
-        if not args.checkpoint:
-            raise ValueError(f"decoder {args.decoder!r} requires --checkpoint")
+    if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint, code=code)
         model, schedule = ckpt.model, ckpt.schedule
     report = run_ber(args.decoder, code, _float_list(args.ebn0), stop=stop,
@@ -256,9 +249,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         prog="diffdec",
         description="diffusion decoding laboratory; pass --config FILE (a flat "
                     "'key = value' file or a previously emitted artifact) to "
-                    "preload any subcommand's settings")
+                    "replay its settings as the subcommand's flags")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("train", help="train a denoiser and write a checkpoint")
     _add_code_args(p)
@@ -314,38 +306,41 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_study)
 
-    for name, action in sub.choices.items():
-        subparsers[name] = action
-    return parser, subparsers
+    return parser, dict(sub.choices)
+
+
+def _replay_config(argv: list[str], subparsers: dict) -> list[str]:
+    """``argv`` with its ``--config FILE`` (or ``--config=FILE``) replaced by
+    a ``--flag=value`` token per file key that names a value-taking flag of
+    the subcommand, placed before the explicit arguments so that argparse's
+    last-wins rule lets those override them.  The ``=`` form keeps a value
+    such as ``-2,0``, or an empty one, a value."""
+    at = next((i for i, a in enumerate(argv) if a.split("=", 1)[0] == "--config"), None)
+    if at is None:
+        return argv
+    if "=" in argv[at]:
+        path, rest = argv[at].split("=", 1)[1], argv[:at] + argv[at + 1:]
+    elif at + 1 < len(argv):
+        path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
+    else:
+        raise ValueError("--config needs a file path")
+    values = read_config_file(path)
+    command = rest[0] if rest else values.get("command", "")
+    if command not in subparsers:
+        raise ValueError(f"--config file does not name a known command (got {command!r})")
+    flags = {a.dest: a.option_strings[0] for a in subparsers[command]._actions
+             if a.option_strings and a.nargs != 0}
+    return [command, *(f"{flags[k]}={v}" for k, v in values.items() if k in flags), *rest[1:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            file_values = read_config_file(argv[at + 1])
-            rest = argv[:at] + argv[at + 2:]
-            command = rest[0] if rest else file_values.get("command", "")
-            if command not in subparsers:
-                raise ValueError(f"--config file does not name a known command "
-                                 f"(got {command!r})")
-            if not rest:
-                rest = [command]
-            _preload(subparsers[command], file_values)
-            args = parser.parse_args(rest)
-        else:
-            args = parser.parse_args(argv)
+        args = parser.parse_args(_replay_config(argv, subparsers))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except (ValueError, OSError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

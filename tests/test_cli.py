@@ -22,6 +22,13 @@ def run(capsys, *args) -> tuple[int, str]:
     return code, out
 
 
+def untrained_checkpoint(path):
+    """An untrained MLP checkpoint bound to rep31."""
+    model = DenoiserModel.create(builtin_code("rep31"), ArchConfig("mlp", 8, 1), seed=3)
+    save_checkpoint(model, NoiseSchedule.constant(0.3, 3), path, {"code": "rep31"})
+    return path
+
+
 class TestDispatch:
     def test_unknown_subcommand_fails(self, capsys):
         assert main(["frobnicate"]) != 0
@@ -60,16 +67,22 @@ class TestBench:
         assert "decoder,ebn0_db" in text
         assert text.count("\nml,") == 2
 
-    def test_rerun_from_embedded_config_is_byte_identical(self, tmp_path, capsys):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        base = ["bench", "--code", "rep31", "--decoder", "ml", "--ebn0", "5",
-                "--seed", "3", "--min-words", "2000", "--min-error-frames", "5",
-                "--max-words", "4000"]
-        assert main(base + ["--out", str(out1)]) == 0
-        # the artifact itself serves as the config file
-        assert main(["bench", "--config", str(out1), "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_ml_rows_do_not_depend_on_a_checkpoint(self, tmp_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        base = ["bench", "--decoder", "ml", "--ebn0", "4", "--seed", "2", "--min-words", "200",
+                "--min-error-frames", "5", "--max-words", "400"]
+        rows = []
+        for given in ([], ["--checkpoint", str(ckpt)]):
+            out = tmp_path / "ber.csv"
+            assert main([*base, "--code", "rep31", *given, "--out", str(out)]) == 0
+            rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert rows[0] == rows[1] and len(rows[0]) == 2
+        # a checkpoint bound to another code is rejected whatever the decoder kind
+        out = tmp_path / "other.csv"
+        assert main([*base, "--code", "hamming74", "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_ebn0_list_parses_in_either_form(self, tmp_path, capsys):
         # argparse once took a value such as -2,0 for a flag: exit 2, "expected one argument"
@@ -171,20 +184,6 @@ class TestTrainCli:
                      "--out", str(tmp_path / "m.ckpt"),
                      "--report", str(tmp_path / "r.csv")]) == 0
 
-    def test_training_run_is_reproducible(self, tmp_path, capsys):
-        args = ["train", "--code", "rep31", "--epochs", "2",
-                "--batches-per-epoch", "5", "--batch-size", "16",
-                "--embed-dim", "8", "--layers", "1", "--seed", "5",
-                "--beta", "0.3"]
-        a_ckpt, a_rep = tmp_path / "a.ckpt", tmp_path / "a.csv"
-        b_ckpt, b_rep = tmp_path / "b.ckpt", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a_ckpt), "--report", str(a_rep)]) == 0
-        # rerun from the report artifact as config
-        assert main(["train", "--config", str(a_rep),
-                     "--out", str(b_ckpt), "--report", str(b_rep)]) == 0
-        assert a_ckpt.read_bytes() == b_ckpt.read_bytes()
-        assert a_rep.read_bytes() == b_rep.read_bytes()
-
     def test_checkpoint_metadata_records_every_train_config_field(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--code", "rep31", "--epochs", "0", "--lr0", "0.003",
@@ -277,6 +276,14 @@ class TestDecodeCli:
                      "--in", str(words)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_numeric_token_reported_with_line_number(self, tmp_path, capsys):
+        ckpt, words = untrained_checkpoint(tmp_path / "m.ckpt"), tmp_path / "w.txt"
+        words.write_text("1 1 1\n1 abc 1\n")
+        assert main(["decode", "--code", "rep31", "--checkpoint", str(ckpt),
+                     "--in", str(words)]) == 1
+        assert capsys.readouterr().err == \
+            "error: line 2: could not convert string to float: 'abc'\n"
+
     def test_v1_checkpoint_is_rejected_naming_its_version(self, tmp_path, capsys):
         rep31 = builtin_code("rep31")
         ckpt = tmp_path / "v1.ckpt"
@@ -307,6 +314,13 @@ class TestOracleCli:
         words.write_text("0.9 -0.2 0.3\n# comment\nnan 0.1 0.2\n")
         assert main(["oracle", "--code", "rep31", "--in", str(words)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_numeric_token_reported_with_line_number(self, tmp_path, capsys):
+        words = tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n# comment\n0.1 0.2 abc\n")
+        assert main(["oracle", "--code", "rep31", "--in", str(words)]) == 1
+        assert capsys.readouterr().err == \
+            "error: line 3: could not convert string to float: 'abc'\n"
 
 
 class TestStudyCli:
@@ -378,13 +392,6 @@ class TestStudyCli:
 
     def test_lambda_hist_requires_checkpoint(self, capsys):
         assert main(["study", "--kind", "lambda-hist", "--code", "rep31"]) == 1
-
-    def test_forward_trace_rerun_from_artifact_is_byte_identical(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["study", "--kind", "forward-trace", "--beta", "0.05", "--steps", "4",
-                     "--trajectories", "3", "--seed", "8", "--out", str(out1)]) == 0
-        assert main(["study", "--config", str(out1), "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestArtifactEcho:
@@ -480,6 +487,92 @@ class TestPinnedArtifactRows:
 class TestConfigParsing:
     def test_reads_hash_prefixed_and_plain_lines(self, tmp_path):
         cfg = tmp_path / "x.cfg"
-        cfg.write_text("# seed = 9\nebn0 = 4,5\nnot a config line\na,b,c\n")
+        cfg.write_text("# code = rep31\nseed=9\nebn0 = 4,5\n# alist =\nnot a config line\n"
+                       "a,b,c\n")
         values = read_config_file(str(cfg))
-        assert values == {"seed": "9", "ebn0": "4,5"}
+        assert values == {"code": "rep31", "seed": "9", "ebn0": "4,5", "alist": ""}
+
+
+# One run per artifact kind on rep31; "{ckpt}" is an untrained checkpoint.
+REPLAYED_RUNS = {
+    "train": ["train", "--epochs", "2", "--batches-per-epoch", "5", "--batch-size", "16",
+              "--embed-dim", "8", "--layers", "1", "--seed", "5", "--beta", "0.3"],
+    "decode-ls": ["decode", "--checkpoint", "{ckpt}"],
+    "decode-regular": ["decode", "--mode", "regular", "--checkpoint", "{ckpt}", "--ls-count", "4"],
+    "oracle": ["oracle"],
+    "bench": ["bench", "--decoder", "ml", "--ebn0=-2,5", "--seed", "3", "--min-words", "2000",
+              "--min-error-frames", "5", "--max-words", "4000"],
+    "parity-noise": ["study", "--kind", "parity-noise", "--sigmas", "0,0.5", "--samples", "40",
+                     "--seed", "4"],
+    "lambda-hist": ["study", "--kind", "lambda-hist", "--checkpoint", "{ckpt}", "--samples", "40",
+                    "--seed", "2"],
+    "forward-trace": ["study", "--kind", "forward-trace", "--beta", "0.05", "--steps", "4",
+                      "--trajectories", "3", "--seed", "8"],
+}
+
+
+class TestConfigReplay:
+    @pytest.mark.parametrize("name", sorted(REPLAYED_RUNS))
+    def test_artifact_replays_byte_identically(self, tmp_path, capsys, name):
+        ckpt, words = untrained_checkpoint(tmp_path / "m.ckpt"), tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n-0.9 0.2 -1.1\n")
+        command, *args = [a.format(ckpt=ckpt) for a in REPLAYED_RUNS[name]]
+        # the input path is not echoed, so a replay is given it again
+        given = ["--in", str(words)] if command in ("decode", "oracle") else []
+
+        def outputs(tag: str, argv: list[str]) -> list[bytes]:
+            paths = {"--out": tmp_path / f"{tag}.csv"}
+            if command == "train":
+                paths = {"--out": tmp_path / f"{tag}.ckpt", "--report": tmp_path / f"{tag}.csv"}
+            assert main([*argv, *given, *(t for flag, path in paths.items()
+                                          for t in (flag, str(path)))]) == 0
+            return [path.read_bytes() for path in paths.values()]
+
+        first = outputs("a", [command, "--code", "rep31", *args])
+        config = str(tmp_path / "a.csv")
+        assert outputs("b", [command, "--config", config]) == first
+        assert outputs("c", [command, f"--config={config}"]) == first
+
+    @pytest.mark.parametrize("config, message", [
+        ("mode = line_search", "argument --mode: invalid choice: 'line_search'"),
+        ("kind = bogus", "argument --kind: invalid choice: 'bogus'"),
+        ("workers = x", "argument --workers: invalid int value: 'x'"),
+    ])
+    def test_bad_file_value_is_a_usage_error(self, tmp_path, capsys, config, message):
+        # file values were once installed as unchecked defaults: mode = line_search
+        # decoded in regular mode and kind = bogus ran the forward-trace study
+        ckpt, words = untrained_checkpoint(tmp_path / "m.ckpt"), tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n")
+        command = {"mode": "decode", "kind": "study", "workers": "bench"}[config.split()[0]]
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"command = {command}\ncode = rep31\ncheckpoint = {ckpt}\n"
+                       f"min_words = 64\nmax_words = 64\n{config}\n")
+        given = ["--in", str(words)] if command == "decode" else []
+        assert main([command, "--config", str(cfg), *given, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_is_reported(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path / "none.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_file_supplies_a_required_flag(self, tmp_path, capsys):
+        ckpt, words = untrained_checkpoint(tmp_path / "m.ckpt"), tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n")
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"checkpoint = {ckpt}\n")
+        assert main(["decode", "--code", "rep31", "--config", str(cfg), "--in", str(words),
+                     "--out", str(out)]) == 0
+        assert f"# checkpoint = {ckpt}\n" in out.read_text()
+
+    def test_negative_file_values_and_unknown_keys(self, tmp_path, capsys):
+        base = ["bench", "--code", "rep31", "--min-words", "200", "--min-error-frames", "5",
+                "--max-words", "400"]
+        flagged, replayed = tmp_path / "flagged.csv", tmp_path / "replayed.csv"
+        assert main([*base, "--ebn0=-2,0", "--seed=-3", "--out", str(flagged)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# diffdec.report = bench\nebn0 = -2,0\nseed=-3\nno_such_flag = 1\n")
+        assert main([*base, "--config", str(cfg), "--out", str(replayed)]) == 0
+        assert flagged.read_bytes() == replayed.read_bytes()
+        assert "\nml,-2.0," in flagged.read_text()
