@@ -6,7 +6,7 @@ accumulate integer error counters until the stopping rule is met.  Each
 EbN0 point draws its words from one Philox stream keyed by (seed, point
 index), and rounds are folded in the order they were drawn, so a report is
 byte-reproducible from its seed; the worker count and the number of rounds
-packed into one BP call only set how many rounds are decoded at once.
+packed into one decoder call only set how many rounds are decoded at once.
 
 BER counts all n codeword bits, not only information bits; comparisons
 between decoders run under the same convention.
@@ -25,13 +25,15 @@ from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
 from .gf2 import GeneratorMatrix, ParityCheckMatrix, encode_batch, ml_decode_batch, \
     syndrome_weights, systematic_generator
+from .nn import DenoiserModel
 
 DECODER_KINDS = ("ddecc", "ddecc-ls", "bp", "ml")
-# Edge messages per call up to which run_ber packs BP rounds into one call
-# (1 MiB per float64 message array).  An iteration has a fixed cost
-# whatever its width, so the few words of a short code that run every
-# iteration then share it with the other rounds' stragglers.
-CALL_MESSAGES = 2**17
+# Floats per call up to which run_ber packs rounds into one decoder call
+# (4 MiB per float64 array as wide as the decoder's per-word working set).
+# A call and each of its iterations have a fixed cost whatever the batch,
+# so packed rounds share it, and the few words of a short code that run
+# every iteration share it with the other rounds' stragglers.
+CALL_FLOATS = 2**19
 
 
 def artifact(report: str, config: dict | None, columns: str, rows) -> str:
@@ -129,14 +131,17 @@ class BerReport:
 def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: float,
                   model=None, schedule: NoiseSchedule | None = None,
                   decode_config: DecodeConfig | None = None, bp_iters: int = 50):
-    """Returns batch decoder: Y -> (bits, iters)."""
+    """Returns the batch decoder Y -> (bits, iters) and the floats it holds
+    per word: the width ``run_ber`` sizes its calls by."""
     if kind == "ml":
-        return lambda Y: (ml_decode_batch(H, G, Y), np.zeros(len(Y), dtype=np.int64))
+        def run_ml(Y):
+            return ml_decode_batch(H, G, Y), np.zeros(len(Y), dtype=np.int64)
+        return run_ml, 2**G.k  # one score per codeword
     if kind == "bp":
         def run_bp(Y):
             bits, _, iters, _ = bp_decode_batch(H, Y, sigma, bp_iters)
             return bits, iters
-        return run_bp
+        return run_bp, H.check_cols.size  # one edge message per check slot
     if kind in ("ddecc", "ddecc-ls"):
         if model is None or schedule is None:
             raise ValueError(f"decoder {kind!r} needs a trained model and its schedule")
@@ -146,7 +151,11 @@ def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: fl
         def run_dd(Y):
             res = decode_batch(model, H, schedule, Y, config, collect_traces=False)
             return res.bits, res.iters
-        return run_dd
+        # the line search's candidates, or the denoiser's widest activation
+        width = len(config.grid()) * H.n
+        if isinstance(model, DenoiserModel):
+            width = max(width, model.widest_activation)
+        return run_dd, width
     raise ValueError(f"unknown decoder kind {kind!r}; choose from {DECODER_KINDS}")
 
 
@@ -179,29 +188,27 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
     Rounds of ``batch_size`` words are drawn in turn from the point's
     stream, never past ``stop.max_words`` and no more than the stop rule is
     likely to fold (``_rounds_to_draw``); of the round that crosses
-    ``max_words`` only the words up to it are folded.  BP decodes as many
-    rounds per call as fit in ``CALL_MESSAGES`` edge messages, the other
-    decoders one; calls run ``workers`` at a time.  Rounds are folded in
-    the order drawn, and those after the stop rule is met are dropped, so
-    every worker count and every number of rounds per call gives the same
-    report.
+    ``max_words`` only the words up to it are folded.  A decoder call holds
+    as many rounds as fit in ``CALL_FLOATS`` floats of the decoder's
+    per-word width (``_make_decoder``), and at least one; calls run
+    ``workers`` at a time.  Rounds are folded in the order drawn, and those
+    after the stop rule is met are dropped, so every worker count and every
+    number of rounds per call gives the same report.
     """
     check_count(workers=workers, batch_size=batch_size, bp_iters=bp_iters)
     ebn0_list = list(ebn0_list)
     if not ebn0_list:
         raise ValueError("ebn0_list names no EbN0 point")
     G = systematic_generator(code)
-    # a word has one BP edge message per check slot
-    per_call = (max(1, CALL_MESSAGES // (batch_size * code.check_cols.size))
-                if decoder == "bp" else 1)
     rate = code.k / code.n
     points = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         decode_calls = map if workers == 1 else pool.map  # one worker: no thread hop
         for point_idx, db in enumerate(ebn0_list):
             sigma = ebn0_to_sigma(EbN0Point(db, rate))
-            run = _make_decoder(decoder, code, G, sigma, model, schedule,
-                                decode_config, bp_iters)
+            run, width = _make_decoder(decoder, code, G, sigma, model, schedule,
+                                       decode_config, bp_iters)
+            per_call = max(1, CALL_FLOATS // (batch_size * width))
             rng = make_rng(seed, stream=point_idx)
             point = BerPoint(decoder, float(db), sigma, 0, 0, 0, 0, 0, 0)
             while not stop.satisfied(point.words, point.frame_errors):

@@ -325,12 +325,15 @@ def _replay_config(argv: list[str], subparsers: dict) -> list[str]:
     else:
         raise ValueError("--config needs a file path")
     values = read_config_file(path)
-    command = rest[0] if rest else values.get("command", "")
+    if rest and not rest[0].startswith("-"):
+        command, rest = rest[0], rest[1:]
+    else:  # no subcommand given, only flags: the file's own command
+        command = values.get("command", "")
     if command not in subparsers:
         raise ValueError(f"--config file does not name a known command (got {command!r})")
     flags = {a.dest: a.option_strings[0] for a in subparsers[command]._actions
              if a.option_strings and a.nargs != 0}
-    return [command, *(f"{flags[k]}={v}" for k, v in values.items() if k in flags), *rest[1:]]
+    return [command, *(f"{flags[k]}={v}" for k, v in values.items() if k in flags), *rest]
 
 
 def main(argv=None) -> int:

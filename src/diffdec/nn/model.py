@@ -109,6 +109,14 @@ class DenoiserModel:
         self.mask = attention_mask(code.matrix) if arch.backbone == "masked_attention" else None
         self._mask_bias = None if self.mask is None else np.where(self.mask, 0.0, -np.inf)
 
+    @property
+    def widest_activation(self) -> int:
+        """Floats of the widest activation one word holds in a forward pass:
+        a hidden layer of the MLP, or the feed-forward hidden layer over all
+        2n-k tokens of masked attention."""
+        width = self.arch.hidden_mult * self.arch.embed_dim
+        return width if self.arch.backbone == "mlp" else (2 * self.n - self.k) * width
+
     # -- construction -----------------------------------------------------
 
     @classmethod

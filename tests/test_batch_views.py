@@ -4,7 +4,7 @@ On random full-rank codes and random words, row i of ``encode_batch``,
 ``syndrome_bits``, ``ml_decode_batch``, ``bp_decode_batch`` and
 ``decode_batch`` must equal the same call on row i alone, as a one-row
 batch.  ``bench.run_ber`` relies on this when it packs several rounds into
-one BP call.
+one decoder call.
 """
 
 import numpy as np

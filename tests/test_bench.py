@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import diffdec.bench
-from diffdec.bench import (StopRule, artifact, forward_process_trace, lambda_histogram,
-                           parity_noise_study, run_ber)
+from diffdec.bench import (CALL_FLOATS, DECODER_KINDS, StopRule, artifact,
+                           forward_process_trace, lambda_histogram, parity_noise_study, run_ber)
 from diffdec.channel import EbN0Point, ebn0_to_sigma, make_rng
 from diffdec.decoding import DecodeConfig
 from diffdec.diffusion import NoiseSchedule
@@ -67,16 +67,27 @@ PINNED_ROWS = {
 
 
 @pytest.fixture
-def bp_calls(monkeypatch):
-    """Word counts of the bp_decode_batch calls run_ber makes, in call order."""
+def decoder_calls(monkeypatch):
+    """Word counts of the decoder calls run_ber makes, in call order."""
     calls = []
+    make = diffdec.bench._make_decoder
 
-    def recording(H, Y, *args, **kwargs):
-        calls.append(len(Y))
-        return bp_decode_batch(H, Y, *args, **kwargs)
+    def recording(*args, **kwargs):
+        run, width = make(*args, **kwargs)
 
-    monkeypatch.setattr(diffdec.bench, "bp_decode_batch", recording)
+        def run_and_record(Y):
+            calls.append(len(Y))
+            return run(Y)
+        return run_and_record, width
+
+    monkeypatch.setattr(diffdec.bench, "_make_decoder", recording)
     return calls
+
+
+def untrained_denoiser(code, backbone="mlp"):
+    """run_ber's model and schedule for the ddecc kinds: a small untrained net."""
+    return dict(model=DenoiserModel.create(code, ArchConfig(backbone, 8, 1), seed=7),
+                schedule=NoiseSchedule.constant(0.25, code.num_checks))
 
 
 class TestRunBer:
@@ -128,41 +139,73 @@ class TestRunBer:
         assert report.to_csv().splitlines()[-2:] == PINNED_ROWS[kind]
 
     def test_diffusion_decoder_points_do_not_depend_on_workers(self, ham74):
-        model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=7)
-        kw = dict(stop=PINNED_STOP, seed=11, batch_size=200, model=model,
-                  schedule=NoiseSchedule.constant(0.25, 3))
+        kw = dict(stop=PINNED_STOP, seed=11, batch_size=200, **untrained_denoiser(ham74))
         one, two, three = (run_ber("ddecc-ls", ham74, [2.0, 4.0], workers=w, **kw).points
                            for w in (1, 2, 3))
         assert one == two == three
-        # the last round comes partway through a batch of 2 and of 3 rounds
+        # each point's rounds split unevenly over 2 and over 3 workers' calls
         assert all((p.words // 200) % 6 in (1, 5) for p in one)
 
+    @pytest.mark.parametrize("frames", [40, 200])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bp_points_do_not_depend_on_rounds_per_call(self, ham74, workers, monkeypatch,
-                                                         bp_calls):
-        # 2**17 // (256 words * 12 slots) = 42 rounds per call.  The 2 dB point
-        # stops at min_words after 2 rounds.  The 4 dB point draws 8 more
-        # rounds after those, at the frame error rate of the first 2, and stops
-        # on its error frames after the 9th, partway through a call; the 6 dB
-        # point stops at max_words after 16 rounds.
-        stop = StopRule(512, 40, 256 * 16)
-        kw = dict(seed=5, workers=workers, batch_size=256)
-        packed = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
-        assert [p.words // 256 for p in packed] == [2, 9, 16]
-        assert sum(bp_calls) // 256 == 2 + 10 + 16 and max(bp_calls) > 256
-        monkeypatch.setattr(diffdec.bench, "CALL_MESSAGES", 1)
-        bp_calls.clear()
-        one_per_call = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
+    @pytest.mark.parametrize("kind", DECODER_KINDS)
+    def test_points_do_not_depend_on_rounds_per_call(self, ham74, kind, workers, frames,
+                                                     monkeypatch, decoder_calls):
+        # at batch 128 a call fits every round a pass draws: BP's 12 slots
+        # give 341 rounds a call, ML's 16 scores 256 and the small MLP's 32
+        # floats (140 line-search candidates) 128 (29).  The points end after
+        # 4 to 32 rounds: at min_words, at max_words or on their error
+        # frames, which bp's and (at 200 frames) the ddecc kinds' reach
+        # partway through a call
+        stop = StopRule(512, frames, 128 * 32)
+        kw = dict(seed=5, workers=workers, batch_size=128, **untrained_denoiser(ham74))
+        packed = run_ber(kind, ham74, [2.0, 4.0, 6.0], stop, **kw).points
+        assert max(decoder_calls) > 128
+        monkeypatch.setattr(diffdec.bench, "CALL_FLOATS", 1)
+        decoder_calls.clear()
+        one_per_call = run_ber(kind, ham74, [2.0, 4.0, 6.0], stop, **kw).points
         assert packed == one_per_call
-        assert max(bp_calls) == 256
+        assert set(decoder_calls) == {128}
+
+    @pytest.mark.parametrize("budget", [1, 2**12, 6000, CALL_FLOATS])
+    @pytest.mark.parametrize("kind", DECODER_KINDS)
+    def test_calls_hold_the_rounds_that_fit_the_budget(self, ham74, kind, budget, monkeypatch,
+                                                       decoder_calls):
+        # min_words alone ends the point, so one pass draws its 20 rounds of
+        # 50 words and spreads them over as few calls as the budget allows;
+        # a round wider than the budget is one call of its own
+        widths = {"bp": 12, "ml": 16, "ddecc": 32, "ddecc-ls": 140}
+        monkeypatch.setattr(diffdec.bench, "CALL_FLOATS", budget)
+        run_ber(kind, ham74, [3.0], StopRule(1000, 0, 1000), batch_size=50,
+                **untrained_denoiser(ham74))
+        most = max(1, budget // (50 * widths[kind]))
+        assert decoder_calls == [50 * min(most, 20 - i) for i in range(0, 20, most)]
+
+    def test_decoder_widths(self, ham74, ham74_gen):
+        def width(kind, model=None, **config):
+            schedule = NoiseSchedule.constant(0.25, 3)
+            return diffdec.bench._make_decoder(kind, ham74, ham74_gen, 0.7, model, schedule,
+                                               DecodeConfig(**config))[1]
+
+        mlp = untrained_denoiser(ham74)["model"]
+        attention = untrained_denoiser(ham74, "masked_attention")["model"]
+        assert width("bp") == ham74.check_cols.size == 12  # edge messages
+        assert width("ml") == 2**4  # codeword scores
+        # the 20 line-search candidates of 7 bits, or the hidden layer of 4 * 8
+        assert (width("ddecc", mlp), width("ddecc-ls", mlp)) == (32, 140)
+        # the feed-forward layer over 2n-k = 10 tokens
+        assert width("ddecc", attention) == width("ddecc-ls", attention) == 320
+        # a plain callable counts the candidates only
+        assert width("ddecc", lambda Y, S: -Y) == 7
+        assert width("ddecc-ls", lambda Y, S: -Y, ls_grid=(1.0, 5.0, 5)) == 35
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_no_round_is_drawn_past_max_words(self, ham74, workers, bp_calls):
+    def test_no_round_is_drawn_past_max_words(self, ham74, workers, decoder_calls):
         stop = StopRule(1000, 10**6, 2600)  # never met by error frames
         report = run_ber("bp", ham74, [3.0], stop, seed=2, workers=workers, batch_size=200)
         assert report.points[0].words == 2600
-        assert sum(bp_calls) <= math.ceil(stop.max_words / 200) * 200
-        assert max(bp_calls) > 200  # rounds are packed
+        assert sum(decoder_calls) <= math.ceil(stop.max_words / 200) * 200
+        assert max(decoder_calls) > 200  # rounds are packed
 
     def test_point_stops_at_max_words_inside_a_round(self, rep31):
         # one 1024-word round crosses the cap; only its first 200 words count
@@ -172,15 +215,15 @@ class TestRunBer:
         assert all(p.frame_errors <= 200 for p in report.points)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_point_stopped_at_min_words_decodes_no_later_round(self, rep31, workers, bp_calls):
-        # rep31 packs 32 rounds of 1024 words per call; at 0 dB the default
+    def test_point_stopped_at_min_words_decodes_no_later_round(self, rep31, workers, decoder_calls):
+        # rep31 packs 128 rounds of 1024 words per call; at 0 dB the default
         # stop rule has its error frames long before min_words, so the point
         # ends after ceil(10,000 / 1024) = 10 rounds and no 11th is decoded
         stop = StopRule()
         point = run_ber("bp", rep31, [0.0], stop, seed=3, workers=workers).points[0]
         assert point.frame_errors >= stop.min_error_frames
-        assert point.words == sum(bp_calls) == math.ceil(stop.min_words / 1024) * 1024
-        assert len(bp_calls) == workers
+        assert point.words == sum(decoder_calls) == math.ceil(stop.min_words / 1024) * 1024
+        assert len(decoder_calls) == workers
 
     def test_draws_past_min_words_follow_the_frame_error_rate(self, ham74, monkeypatch):
         # every frame is wrong, so 1000 words bring 1000 error frames and the

@@ -576,3 +576,12 @@ class TestConfigReplay:
         assert main([*base, "--config", str(cfg), "--out", str(replayed)]) == 0
         assert flagged.read_bytes() == replayed.read_bytes()
         assert "\nml,-2.0," in flagged.read_text()
+
+    @pytest.mark.parametrize("form", ["spaced", "joined"])
+    def test_file_names_the_command_when_only_flags_follow(self, tmp_path, capsys, form):
+        # `diffdec --config ber.csv --out b.csv` once took '--out' for the command
+        artifact, replayed = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*REPLAYED_RUNS["bench"], "--code", "rep31", "--out", str(artifact)]) == 0
+        config = ["--config", str(artifact)] if form == "spaced" else [f"--config={artifact}"]
+        assert main([*config, "--out", str(replayed)]) == 0
+        assert replayed.read_bytes() == artifact.read_bytes()
