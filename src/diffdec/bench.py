@@ -136,7 +136,7 @@ def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: fl
     if kind == "ml":
         def run_ml(Y):
             return ml_decode_batch(H, G, Y), np.zeros(len(Y), dtype=np.int64)
-        return run_ml, 2**G.k  # one score per codeword
+        return run_ml, max(2**G.k, H.n)  # one score per codeword, or the received word
     if kind == "bp":
         def run_bp(Y):
             bits, _, iters, _ = bp_decode_batch(H, Y, sigma, bp_iters)

@@ -112,10 +112,11 @@ class DenoiserModel:
     @property
     def widest_activation(self) -> int:
         """Floats of the widest activation one word holds in a forward pass:
-        a hidden layer of the MLP, or the feed-forward hidden layer over all
-        2n-k tokens of masked attention."""
-        width = self.arch.hidden_mult * self.arch.embed_dim
-        return width if self.arch.backbone == "mlp" else (2 * self.n - self.k) * width
+        the MLP's 2n-k input features or a hidden layer; masked attention's
+        feed-forward hidden layer over all 2n-k tokens or its (2n-k)^2
+        attention scores."""
+        s, width = 2 * self.n - self.k, self.arch.hidden_mult * self.arch.embed_dim
+        return max(s, width) if self.arch.backbone == "mlp" else s * max(s, width)
 
     # -- construction -----------------------------------------------------
 

@@ -11,7 +11,7 @@ from diffdec.decoding import DecodeConfig
 from diffdec.diffusion import NoiseSchedule
 from diffdec.nn import ArchConfig, DenoiserModel
 from diffdec.bp import bp_decode_batch
-from oracles import pseudo_ldpc_49_24, qfunc
+from oracles import pseudo_ldpc_49_24, qfunc, regular_ldpc
 
 
 class TestArtifact:
@@ -146,21 +146,41 @@ class TestRunBer:
         # each point's rounds split unevenly over 2 and over 3 workers' calls
         assert all((p.words // 200) % 6 in (1, 5) for p in one)
 
-    @pytest.mark.parametrize("frames", [40, 200])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("kind", DECODER_KINDS)
-    def test_points_do_not_depend_on_rounds_per_call(self, ham74, kind, workers, frames,
+    def test_bp_points_do_not_depend_on_rounds_per_call(self, ham74, workers, monkeypatch,
+                                                         decoder_calls):
+        # 2**19 // (256 words * 12 slots) = 170 rounds per call.  The 2 dB
+        # point stops at min_words after 2 rounds.  The 4 dB point draws 8
+        # more rounds after those, at the frame error rate of the first 2, and
+        # stops on its error frames after the 9th, partway through a call; the
+        # 6 dB point stops at max_words after 16 rounds.
+        stop = StopRule(512, 40, 256 * 16)
+        kw = dict(seed=5, workers=workers, batch_size=256)
+        packed = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
+        assert [p.words // 256 for p in packed] == [2, 9, 16]
+        assert sum(decoder_calls) // 256 == 2 + 10 + 16 and max(decoder_calls) > 256
+        monkeypatch.setattr(diffdec.bench, "CALL_FLOATS", 1)
+        decoder_calls.clear()
+        one_per_call = run_ber("bp", ham74, [2.0, 4.0, 6.0], stop, **kw).points
+        assert packed == one_per_call
+        assert max(decoder_calls) == 256
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind, rounds, decoded", [("ml", [25, 32, 32], 93),
+                                                       ("ddecc", [5, 9, 24], 39),
+                                                       ("ddecc-ls", [5, 9, 22], 37)])
+    def test_points_do_not_depend_on_rounds_per_call(self, ham74, kind, rounds, decoded, workers,
                                                      monkeypatch, decoder_calls):
-        # at batch 128 a call fits every round a pass draws: BP's 12 slots
-        # give 341 rounds a call, ML's 16 scores 256 and the small MLP's 32
-        # floats (140 line-search candidates) 128 (29).  The points end after
-        # 4 to 32 rounds: at min_words, at max_words or on their error
-        # frames, which bp's and (at 200 frames) the ddecc kinds' reach
-        # partway through a call
-        stop = StopRule(512, frames, 128 * 32)
+        # at batch 128 a call fits every round a pass draws: ML's 16 scores
+        # give 256 rounds a call and the small MLP's 32 floats (140
+        # line-search candidates) 128 (29).  ml's 2 dB point and the ddecc
+        # kinds' 4 dB points stop on their error frames partway through a
+        # call, so more rounds are decoded than folded
+        stop = StopRule(512, 200, 128 * 32)
         kw = dict(seed=5, workers=workers, batch_size=128, **untrained_denoiser(ham74))
         packed = run_ber(kind, ham74, [2.0, 4.0, 6.0], stop, **kw).points
-        assert max(decoder_calls) > 128
+        assert [p.words // 128 for p in packed] == rounds
+        assert sum(decoder_calls) // 128 == decoded > sum(rounds) and max(decoder_calls) > 128
         monkeypatch.setattr(diffdec.bench, "CALL_FLOATS", 1)
         decoder_calls.clear()
         one_per_call = run_ber(kind, ham74, [2.0, 4.0, 6.0], stop, **kw).points
@@ -181,16 +201,17 @@ class TestRunBer:
         most = max(1, budget // (50 * widths[kind]))
         assert decoder_calls == [50 * min(most, 20 - i) for i in range(0, 20, most)]
 
-    def test_decoder_widths(self, ham74, ham74_gen):
-        def width(kind, model=None, **config):
-            schedule = NoiseSchedule.constant(0.25, 3)
-            return diffdec.bench._make_decoder(kind, ham74, ham74_gen, 0.7, model, schedule,
+    def test_decoder_widths(self, ham74, ham74_gen, rep31, rep31_gen):
+        def width(kind, model=None, code=ham74, gen=ham74_gen, **config):
+            schedule = NoiseSchedule.constant(0.25, code.num_checks)
+            return diffdec.bench._make_decoder(kind, code, gen, 0.7, model, schedule,
                                                DecodeConfig(**config))[1]
 
         mlp = untrained_denoiser(ham74)["model"]
         attention = untrained_denoiser(ham74, "masked_attention")["model"]
         assert width("bp") == ham74.check_cols.size == 12  # edge messages
         assert width("ml") == 2**4  # codeword scores
+        assert width("ml", code=rep31, gen=rep31_gen) == 3  # the received word, not 2 scores
         # the 20 line-search candidates of 7 bits, or the hidden layer of 4 * 8
         assert (width("ddecc", mlp), width("ddecc-ls", mlp)) == (32, 140)
         # the feed-forward layer over 2n-k = 10 tokens
@@ -198,6 +219,14 @@ class TestRunBer:
         # a plain callable counts the candidates only
         assert width("ddecc", lambda Y, S: -Y) == 7
         assert width("ddecc-ls", lambda Y, S: -Y, ls_grid=(1.0, 5.0, 5)) == 35
+        # a (128,64) LDPC code: its 2n-k = 192 input features outgrow the MLP's
+        # hidden layer of 4 * 32, and its 192 * 192 attention scores the
+        # feed-forward layer over 192 tokens
+        ldpc = regular_ldpc(128, 3, 6, seed=0)
+        mlp, attention = (DenoiserModel.create(ldpc, ArchConfig(backbone, 32, 1))
+                          for backbone in ("mlp", "masked_attention"))
+        assert width("ddecc", mlp, code=ldpc, gen=None) == mlp.widest_activation == 192
+        assert width("ddecc", attention, code=ldpc, gen=None) == 192 * 192
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_no_round_is_drawn_past_max_words(self, ham74, workers, decoder_calls):
