@@ -8,8 +8,8 @@ error, exit 2), explicit flags override them, and other keys are ignored.
 Every artifact embeds its effective configuration as ``# key = value``
 comment lines, so it can itself be passed back via ``--config`` to
 reproduce the run byte for byte.  The flags that set a config dataclass
-field (TrainConfig, StopRule, the DecodeConfig grid) take their name, type
-and default from that field, and those of ``bench`` that pass a
+field (TrainConfig, StopRule, DecodeConfig) take their name, type and
+default from that field, and those of ``bench`` that pass a
 ``run_ber`` keyword take its default.  ``bench --workers`` only sets how
 many decoder calls run at once: the artifact depends on the seed, not on
 the worker count.
@@ -93,22 +93,6 @@ def _resolve_code(args) -> tuple[ParityCheckMatrix, str]:
     return builtin_code(args.code), args.code
 
 
-def _add_decode_args(p: argparse.ArgumentParser, max_iters: bool = True):
-    """The line-search grid flags and, unless ``max_iters`` is False, the step cap."""
-    lo, hi, count = DecodeConfig().ls_grid
-    p.add_argument("--ls-lo", type=float, default=lo)
-    p.add_argument("--ls-hi", type=float, default=hi)
-    p.add_argument("--ls-count", type=int, default=count)
-    if max_iters:
-        p.add_argument("--max-iters", type=int, default=0, help="0 = n-k")
-
-
-def _decode_config(args, mode: str = "line_search") -> DecodeConfig:
-    """The DecodeConfig of the flags that _add_decode_args declared."""
-    return DecodeConfig(mode=mode, max_iters=getattr(args, "max_iters", 0) or None,
-                        ls_grid=(args.ls_lo, args.ls_hi, args.ls_count))
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -165,7 +149,8 @@ def _cmd_train(args) -> int:
 def _cmd_decode(args) -> int:
     code, _ = _resolve_code(args)
     ckpt = load_checkpoint(args.checkpoint, code=code)
-    config = _decode_config(args, mode="line_search" if args.mode == "ls" else "regular")
+    config = _from_fields(DecodeConfig, args,
+                          mode="line_search" if args.mode == "ls" else "regular")
     Y = _read_words(args.infile, code.n)
     result = decode_batch(ckpt.model, code, ckpt.schedule, Y, config)
     rows = []
@@ -185,13 +170,14 @@ def _cmd_decode(args) -> int:
 def _cmd_bench(args) -> int:
     code, _ = _resolve_code(args)
     stop = _from_fields(StopRule, args)
+    config = _from_fields(DecodeConfig, args, mode="line_search")  # run_ber sets each kind's mode
     model = schedule = None
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint, code=code)
         model, schedule = ckpt.model, ckpt.schedule
     report = run_ber(args.decoder, code, _float_list(args.ebn0), stop=stop,
                      seed=args.seed, workers=args.workers, model=model,
-                     schedule=schedule, decode_config=_decode_config(args),
+                     schedule=schedule, decode_config=config,
                      bp_iters=args.bp_iters, batch_size=args.batch_size)
     _write(args.out, report.to_csv(_echo(args)))
     return 0
@@ -216,9 +202,10 @@ def _cmd_study(args) -> int:
         if not args.checkpoint:
             raise ValueError("lambda-hist requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, code=code)
+        config = _from_fields(DecodeConfig, args, mode="line_search", max_iters=0)
         columns = "step_size,count"
         rows = zip(*lambda_histogram(ckpt.model, code, ckpt.schedule, args.ebn0_point,
-                                     args.samples, args.seed, _decode_config(args)))
+                                     args.samples, args.seed, config))
     else:  # forward-trace
         columns = "trajectory,t,x0,x1,x2"
         rows = forward_process_trace(NoiseSchedule.constant(args.beta, args.steps),
@@ -263,7 +250,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_code_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", default="ls", choices=("regular", "ls"))
-    _add_decode_args(p)
+    _add_fields(p, DecodeConfig, skip=("mode",))
     p.add_argument("--in", dest="infile", default="-",
                    help="input words, one per line, space-separated reals")
     p.add_argument("--out", default="-")
@@ -280,7 +267,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--checkpoint", default="")
     p.add_argument("--bp-iters", type=int, default=run_ber_args["bp_iters"].default)
     p.add_argument("--batch-size", type=int, default=run_ber_args["batch_size"].default)
-    _add_decode_args(p)
+    _add_fields(p, DecodeConfig, skip=("mode",))
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
 
@@ -299,7 +286,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default="")
     p.add_argument("--ebn0-point", type=float, default=4.0)
-    _add_decode_args(p, max_iters=False)
+    _add_fields(p, DecodeConfig, skip=("mode", "max_iters"))
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--trajectories", type=int, default=32)

@@ -1,6 +1,6 @@
 """Iterative reverse-diffusion decoding.
 
-The loop (at most n-k passes, or ``max_iters`` if smaller) keeps the
+The loop (n-k passes at most, or a nonzero ``max_iters`` if smaller) keeps the
 syndrome bits of every word next to the word: taken once up front, then
 from the line search that picks each step.  A word with a zero syndrome
 exits.  Otherwise its parity-error count gamma and the bits feed the
@@ -9,9 +9,9 @@ additive noise estimate eps_hat (``diffusion.mul_to_add_noise``) of the
 reverse step x <- x - lam * c(gamma) * eps_hat, with c the posterior noise
 coefficient (``diffusion.noise_coefficients``).  The step multiplier lam is
 the grid value whose candidate has the smallest syndrome weight, smallest
-lam on ties.  Line-search mode uses the grid ``ls_grid``; regular mode is
-the one-point grid {1}.  Non-finite input is rejected; non-convergence is a
-normal outcome.
+lam on ties: ``ls_count`` points from ``ls_lo`` to ``ls_hi`` in line-search
+mode, {1} in regular mode.  DecodeConfig's fields are also CLI flags.
+Non-finite input is rejected; non-convergence is a normal outcome.
 """
 
 from __future__ import annotations
@@ -32,25 +32,25 @@ MODES = ("regular", "line_search")
 @dataclass(frozen=True)
 class DecodeConfig:
     mode: str = "line_search"
-    max_iters: int | None = None  # defaults to n-k; never exceeds it
-    ls_grid: tuple[float, float, int] = (1.0, 20.0, 20)
+    max_iters: int = 0  # 0 means n-k; never exceeds it
+    ls_lo: float = 1.0
+    ls_hi: float = 20.0
+    ls_count: int = 20
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        lo, hi, count = self.ls_grid
+        lo, hi, count = self.ls_lo, self.ls_hi, self.ls_count
         if not (np.isfinite([lo, hi]).all() and 0 < lo <= hi
                 and isinstance(count, Integral) and count >= 1):
-            raise ValueError(f"need finite 0 < lo <= hi and an integer count >= 1, got {self.ls_grid}")
-        if self.max_iters is not None:
-            check_count(max_iters=self.max_iters)
+            raise ValueError(f"need finite 0 < lo <= hi and an integer count >= 1, got {lo, hi, count}")
+        check_count(0, max_iters=self.max_iters)
 
     def grid(self) -> np.ndarray:
-        """Step multipliers to search: [1.0] in regular mode, else ls_grid."""
+        """Step multipliers to search: [1.0] in regular mode, else the ls grid."""
         if self.mode == "regular":
             return np.ones(1)
-        lo, hi, count = self.ls_grid
-        return np.linspace(lo, hi, count)
+        return np.linspace(self.ls_lo, self.ls_hi, self.ls_count)
 
 
 @dataclass(frozen=True)

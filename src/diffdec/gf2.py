@@ -279,8 +279,8 @@ def load_alist(text: str, name: str = "") -> ParityCheckMatrix:
 def _neighbor_matrix(lists, degrees, size: int, owner: str, member: str) -> np.ndarray:
     """The 0/1 matrix of 1-based alist neighbor lists, one row per list.
 
-    Zero entries are dropped; each list must hold as many entries as its
-    degree, each in 1..size."""
+    Zero entries are dropped; each list must hold as many distinct entries
+    as its degree, each in 1..size."""
     mat = np.zeros((len(lists), size), dtype=np.uint8)
     for i, (listed, degree) in enumerate(zip(lists, degrees), 1):
         entries = [e for e in listed if e != 0]
@@ -290,6 +290,8 @@ def _neighbor_matrix(lists, degrees, size: int, owner: str, member: str) -> np.n
         for e in entries:
             if not 1 <= e <= size:
                 raise AlistFormatError(f"{member} index {e} out of range 1..{size} in {owner} {i}")
+            if mat[i - 1, e - 1]:
+                raise AlistFormatError(f"{owner} {i} lists {member} {e} twice")
             mat[i - 1, e - 1] = 1
     return mat
 

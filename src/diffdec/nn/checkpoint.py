@@ -141,6 +141,8 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
     try:
         stored = ParityCheckMatrix(arrays.pop("code.H"))
         schedule = NoiseSchedule(arrays.pop("schedule.betas"))
+        if schedule.T < stored.num_checks:  # the decoder takes up to n-k steps
+            raise ValueError(f"schedule has T={schedule.T} < n-k={stored.num_checks}")
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks its {exc} record") from None
     except ValueError as exc:

@@ -207,15 +207,15 @@ class DenoiserModel:
             scale = 1.0 / np.sqrt(d)
             layers = self.arch.layers
             if not layers:
-                x = T.slice_leading(x, self.n, axis=1)
+                x = T.slice_leading(x, self.n)
             for i in range(layers):
                 pre = f"blocks.{i}."
                 h = T.layer_norm(x, self.params[pre + "ln1.gain"], self.params[pre + "ln1.bias"])
                 k_ = T.matmul(h, self.params[pre + "wk"])
                 v = T.matmul(h, self.params[pre + "wv"])
                 if i == layers - 1:  # the head reads the bit tokens alone: only they go on
-                    h = T.slice_leading(h, self.n, axis=1)
-                    x = T.slice_leading(x, self.n, axis=1)
+                    h = T.slice_leading(h, self.n)
+                    x = T.slice_leading(x, self.n)
                 q = T.matmul(h, self.params[pre + "wq"])
                 bias = self._mask_bias[:h.data.shape[1]]
                 att = T.matmul(T.attention_weights(q, k_, scale, bias), v)

@@ -278,15 +278,14 @@ def swap_last_axes(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def slice_leading(a, count: int, axis: int = 1) -> Tensor:
-    """Keep the first ``count`` entries along ``axis`` (token readout)."""
+def slice_leading(a, count: int) -> Tensor:
+    """Keep the first ``count`` entries along axis 1 (token readout)."""
     a = _wrap(a)
-    index = tuple(slice(None) if ax != axis else slice(count) for ax in range(a.data.ndim))
-    data = a.data[index]
+    data = a.data[:, :count]
 
     def backward(grad):
         full = np.zeros_like(a.data)
-        full[index] = grad
+        full[:, :count] = grad
         a._accumulate(full)
 
     return _make(data, (a,), backward)

@@ -38,7 +38,7 @@ def test_each_batch_row_equals_its_one_row_batch(code_and_rng, sigma, mode):
     ml_bits = ml_decode_batch(H, G, Y)
     bp = bp_decode_batch(H, Y, sigma, max_iters=10)
     schedule = NoiseSchedule.constant(0.1, H.num_checks)
-    config = DecodeConfig(mode=mode, ls_grid=(1.0, 5.0, 5))
+    config = DecodeConfig(mode=mode, ls_lo=1.0, ls_hi=5.0, ls_count=5)
     dd = decode_batch(flip_logits, H, schedule, Y, config)
 
     for i in range(BATCH):

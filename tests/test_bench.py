@@ -218,7 +218,7 @@ class TestRunBer:
         assert width("ddecc", attention) == width("ddecc-ls", attention) == 320
         # a plain callable counts the candidates only
         assert width("ddecc", lambda Y, S: -Y) == 7
-        assert width("ddecc-ls", lambda Y, S: -Y, ls_grid=(1.0, 5.0, 5)) == 35
+        assert width("ddecc-ls", lambda Y, S: -Y, ls_lo=1.0, ls_hi=5.0, ls_count=5) == 35
         # a (128,64) LDPC code: its 2n-k = 192 input features outgrow the MLP's
         # hidden layer of 4 * 32, and its 192 * 192 attention scores the
         # feed-forward layer over 192 tokens
@@ -337,7 +337,8 @@ class TestLambdaHistogram:
         model, schedule, _ = trained_ham74
         grid, counts = lambda_histogram(model, ham74, schedule, ebn0_db=4.0,
                                         samples=400, seed=4,
-                                        config=DecodeConfig(ls_grid=(2.0, 2.0, 1)))
+                                        config=DecodeConfig(ls_lo=2.0, ls_hi=2.0,
+                                                            ls_count=1))
         assert len(grid) == 1 and grid[0] == 2.0
         assert counts[0] > 0
 

@@ -2,6 +2,7 @@ import struct
 import zlib
 from dataclasses import asdict, fields
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import diffdec.cli
 import diffdec.training
 from diffdec.cli import build_parser, main, read_config_file
+from diffdec.decoding import DecodeConfig
 from diffdec.diffusion import NoiseSchedule
 from diffdec.gf2 import builtin_code
 from diffdec.nn import ArchConfig, CheckpointError, DenoiserModel, load_checkpoint, \
@@ -300,6 +302,21 @@ class TestDecodeCli:
         assert "version 1" in err and "train --config" in err
 
 
+    def test_max_iters_zero_is_the_default_n_minus_k_cap(self, tmp_path, capsys):
+        ckpt, words = untrained_checkpoint(tmp_path / "m.ckpt"), tmp_path / "w.txt"
+        words.write_text("0.9 -0.2 0.3\n-0.9 0.2 -1.1\n0.2 -0.4 -0.1\n")
+        texts = []
+        for given in ([], ["--max-iters", "0"], ["--max-iters", "2"]):
+            out = tmp_path / "dec.csv"
+            assert main(["decode", "--code", "rep31", "--checkpoint", str(ckpt),
+                         "--in", str(words), *given, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert ",step,2," in texts[0]  # a word took n-k = 2 steps
+        rows = [[l for l in text.splitlines() if not l.startswith("#")] for text in texts]
+        assert rows[0] == rows[2]
+
+
 class TestOracleCli:
     def test_ml_decisions(self, tmp_path, capsys):
         words = tmp_path / "w.txt"
@@ -482,6 +499,21 @@ class TestPinnedArtifactRows:
         args = [a.format(ckpt=ckpt, words=words) for a in template]
         assert main([args[0], "--code", "hamming74", *args[1:], "--out", str(out)]) == 0
         assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == rows
+
+
+@pytest.mark.parametrize("command, skip", [("decode", {"mode"}), ("bench", {"mode"}),
+                                           ("study", {"mode", "max_iters"})],
+                         ids=["decode", "bench", "study"])
+def test_every_decode_config_field_is_a_flag_typed_and_defaulted_by_it(command, skip):
+    actions = {a.dest: a for a in build_parser()[1][command]._actions}
+    types = get_type_hints(DecodeConfig)
+    for f in fields(DecodeConfig):
+        if f.name in skip:
+            continue
+        action = actions[f.name]
+        assert action.option_strings == ["--" + f.name.replace("_", "-")]
+        assert (action.type, action.default) == (types[f.name], f.default), f.name
+    assert ("max_iters" in actions) == ("max_iters" not in skip)
 
 
 class TestConfigParsing:

@@ -84,6 +84,18 @@ class TestDecodeBasics:
                            DecodeConfig(mode="line_search", max_iters=1))
         assert (res.iters <= 1).all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(codes(), st.sampled_from(MODES))
+    def test_max_iters_zero_decodes_as_n_minus_k(self, code_and_rng, mode):
+        H, rng = code_and_rng
+        model = DenoiserModel.create(H, ArchConfig("mlp", 8, 1), seed=int(rng.integers(100)))
+        schedule = NoiseSchedule.constant(0.05, H.num_checks)
+        Y = rng.normal(0, 1, (16, H.n))
+        zero, full = (decode_batch(model, H, schedule, Y, DecodeConfig(mode=mode, max_iters=cap))
+                      for cap in (0, H.num_checks))
+        for name in ("bits", "converged", "iters", *STEP_ARRAYS):
+            assert np.array_equal(getattr(zero, name), getattr(full, name)), name
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_rejected(self, ham74, bad):
         fn = lambda Y, syndrome: np.zeros(Y.shape)
@@ -131,7 +143,7 @@ class TestStepArrays:
         model = DenoiserModel.create(H, ArchConfig("mlp", 8, 1), seed=int(rng.integers(100)))
         schedule = NoiseSchedule.constant(0.05, H.num_checks)
         Y = rng.normal(0, 1, (16, H.n))
-        config = DecodeConfig(mode=mode, ls_grid=(1.0, 5.0, 5))
+        config = DecodeConfig(mode=mode, ls_lo=1.0, ls_hi=5.0, ls_count=5)
         res = decode_batch(model, H, schedule, Y, config)
         plain = decode_batch(model, H, schedule, Y, config, collect_traces=False)
         assert np.array_equal(res.bits, plain.bits)
@@ -176,13 +188,15 @@ class TestLineSearch:
     def test_zero_noise_ties_break_to_smallest_lambda(self, ham74):
         y = np.ones(7)
         y[4] = -1.0  # single flip, column weight 1
-        lam = ls_step(ham74, y, np.zeros(7), 1, DecodeConfig(ls_grid=(1.0, 20.0, 20)).grid())
+        grid = DecodeConfig(ls_lo=1.0, ls_hi=20.0, ls_count=20).grid()
+        lam = ls_step(ham74, y, np.zeros(7), 1, grid)
         assert lam == 1.0
 
     def test_single_point_grid_returns_it(self, ham74):
         y = np.ones(7)
         y[4] = -1.0
-        lam = ls_step(ham74, y, y - np.ones(7), 1, DecodeConfig(ls_grid=(7.5, 7.5, 1)).grid())
+        grid = DecodeConfig(ls_lo=7.5, ls_hi=7.5, ls_count=1).grid()
+        lam = ls_step(ham74, y, y - np.ones(7), 1, grid)
         assert lam == 7.5
 
     def test_exact_landing_is_found_and_is_the_smallest_zeroing_lambda(self, ham74, ham74_gen):
@@ -208,7 +222,7 @@ class TestLineSearch:
         rng = make_rng(8)
         Y = rng.normal(0, 1, (50, 7))
         ls = decode_batch(model, ham74, SCHED74, Y,
-                          DecodeConfig(mode="line_search", ls_grid=(1.0, 1.0, 1)))
+                          DecodeConfig(mode="line_search", ls_lo=1.0, ls_hi=1.0, ls_count=1))
         reg = decode_batch(model, ham74, SCHED74, Y, DecodeConfig(mode="regular"))
         assert np.array_equal(ls.bits, reg.bits)
         assert np.array_equal(ls.iters, reg.iters)
@@ -220,14 +234,15 @@ class TestLineSearch:
                                          (-np.inf, 20.0, 20), (1.0, 20.0, 2.5), (1.0, 20.0, 20.0),
                                          (0.0, 20.0, 20), (2.0, 1.0, 20), (1.0, 20.0, 0)])
     def test_bad_grid_rejected(self, ls_grid):
+        lo, hi, count = ls_grid
         with pytest.raises(ValueError, match="lo <= hi"):
-            DecodeConfig(ls_grid=ls_grid)
+            DecodeConfig(ls_lo=lo, ls_hi=hi, ls_count=count)
 
     def test_grid_count_may_be_a_numpy_integer(self):
-        grid = DecodeConfig(ls_grid=(1.0, 20.0, np.int64(20))).grid()
+        grid = DecodeConfig(ls_lo=1.0, ls_hi=20.0, ls_count=np.int64(20)).grid()
         assert np.array_equal(grid, np.linspace(1.0, 20.0, 20))
 
-    @pytest.mark.parametrize("max_iters", [0, -1, 2.5])
+    @pytest.mark.parametrize("max_iters", [-1, 2.5])
     def test_bad_max_iters_rejected(self, max_iters):
         with pytest.raises(ValueError, match="max_iters"):
             DecodeConfig(max_iters=max_iters)

@@ -57,6 +57,21 @@ class TestAlist:
         with pytest.raises(AlistFormatError):
             load_alist(bad)
 
+    @pytest.mark.parametrize("edits, repeat", [
+        # column 1 names row 1 twice; row 2 leaves column 1 out, so the lists agree
+        ((("4 4 4", "4 3 4"), ("1 2 0", "1 1 0"), ("1 3 4 6", "3 4 6")), "column 1 lists row 1"),
+        # row 1 names column 1 twice; column 2 leaves row 1 out
+        ((("2 2 2 3 1 1 1", "2 1 2 3 1 1 1"), ("1 3 0", "3 0 0"), ("1 2 4 5", "1 1 4 5")),
+         "row 1 lists column 1"),
+    ], ids=["column", "row"])
+    def test_repeated_index_rejected(self, edits, repeat):
+        bad = HAMMING74_ALIST
+        for old, new in edits:
+            assert bad.count(old) == 1
+            bad = bad.replace(old, new)
+        with pytest.raises(AlistFormatError, match=f"{repeat} twice"):
+            load_alist(bad)
+
     def test_roundtrip_through_writer(self):
         H = pseudo_ldpc_49_24()
         again = load_alist(to_alist(H))

@@ -810,6 +810,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=name if value is None else "record"):
             load_checkpoint(path)
 
+    def test_schedule_shorter_than_n_minus_k_rejected(self, tmp_path, ham74):
+        path = tmp_path / "model.ckpt"
+        model = DenoiserModel.create(ham74, ARCHS["mlp"], seed=19)
+        save_checkpoint(model, NoiseSchedule.constant(0.1, 2), path)
+        with pytest.raises(CheckpointError, match=r"bad code or schedule record: .*T=2 < n-k=3"):
+            load_checkpoint(path)
+        save_checkpoint(model, NoiseSchedule.constant(0.1, 4), path)  # longer is accepted
+        assert load_checkpoint(path, code=ham74).schedule.T == 4
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, ham74, value):
         # the CRC holds for a value written on purpose
