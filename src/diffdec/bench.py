@@ -23,17 +23,16 @@ from .bp import bp_decode_batch
 from .channel import EbN0Point, awgn_batch, bpsk, check_count, ebn0_to_sigma, make_rng
 from .decoding import DecodeConfig, decode_batch
 from .diffusion import NoiseSchedule
-from .gf2 import GeneratorMatrix, ParityCheckMatrix, encode_batch, ml_decode_batch, \
-    syndrome_weights, systematic_generator
+from .gf2 import CALL_FLOATS, GeneratorMatrix, ParityCheckMatrix, encode_batch, \
+    ml_decode_batch, syndrome_weights, systematic_generator
 from .nn import DenoiserModel
 
 DECODER_KINDS = ("ddecc", "ddecc-ls", "bp", "ml")
-# Floats per call up to which run_ber packs rounds into one decoder call
+# run_ber packs rounds into one decoder call up to gf2.CALL_FLOATS floats
 # (4 MiB per float64 array as wide as the decoder's per-word working set).
 # A call and each of its iterations have a fixed cost whatever the batch,
 # so packed rounds share it, and the few words of a short code that run
 # every iteration share it with the other rounds' stragglers.
-CALL_FLOATS = 2**19
 
 
 def artifact(report: str, config: dict | None, columns: str, rows) -> str:

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Floats of float64 working array up to which a batch operation runs in one
+# piece (4 MiB): ML scores this many codeword correlations at a time, and
+# ``bench.run_ber`` packs rounds into one decoder call up to it.
+CALL_FLOATS = 2**19
+
 
 class AlistFormatError(ValueError):
     """Raised when an alist file cannot be parsed or is inconsistent."""
@@ -227,10 +232,16 @@ def ml_decode_batch(H: ParityCheckMatrix, G: GeneratorMatrix, Y: np.ndarray) -> 
     """
     if G.k > 16:
         raise ValueError(f"brute-force ML limited to k <= 16, got k={G.k}")
+    Y = word_batch(Y, H.n)
     book = G.codebook()
-    signs = 1.0 - 2.0 * book.astype(np.float64)  # (2^k, n)
-    scores = word_batch(Y, H.n) @ signs.T  # (B, 2^k)
-    best = np.argmax(scores, axis=1)  # first max = lowest index
+    signs = book.astype(np.float64)  # (2^k, n): 1 - 2 * bit, built once per call
+    signs *= -2.0
+    signs += 1.0
+    # the words are scored in slices of at most CALL_FLOATS scores (B, 2^k)
+    rows = max(1, CALL_FLOATS // len(book))
+    best = np.empty(len(Y), dtype=np.intp)
+    for lo in range(0, len(Y), rows):
+        best[lo:lo + rows] = np.argmax(Y[lo:lo + rows] @ signs.T, axis=1)  # first max = lowest index
     return book[best]
 
 

@@ -21,6 +21,7 @@ outputs bit-exactly on the same platform.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -96,7 +97,7 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
 
     def take(n: int) -> bytes:
         nonlocal pos
-        if pos + n > len(body):
+        if n < 0 or pos + n > len(body):
             raise CheckpointError("checkpoint truncated")
         out = body[pos:pos + n]
         pos += n
@@ -130,7 +131,7 @@ def load_checkpoint(path, code: ParityCheckMatrix | None = None) -> Checkpoint:
         name = take(name_len).decode()
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)  # Python ints: np.prod would wrap in int64
         arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
         if not np.isfinite(arr).all():
             raise CheckpointError(f"array {name!r} holds inf or nan")

@@ -10,8 +10,9 @@ node drops its closure, its parents and its ``.grad``, so an activation or
 an interior gradient is freed as soon as no closure left to run reads it.
 Only leaves (tensors no op made, such as parameters) keep ``.grad``.
 
-No op writes into an array it was handed, operand or gradient.  Some write
-in place into arrays they allocated themselves:
+No op writes into an array it was handed, operand or gradient, unless the
+caller names it as ``out``.  Some write in place into arrays they allocated
+themselves:
 
 * ``gelu``, ``layer_norm`` and ``softmax_last`` run each step on one or two
   scratch arrays of their own, in the order of the plain formulas;
@@ -20,7 +21,9 @@ in place into arrays they allocated themselves:
 * ``softmax_last`` applies an optional scale and constant bias in the array
   it computes the weights in, or in an ``out`` array the caller names;
   ``attention_weights`` names the fresh score product, so the scores, their
-  scaled and masked forms and the weights share one array.
+  scaled and masked forms and the weights share one array;
+* ``gelu`` writes into an ``out`` array the caller names (the operand's own
+  array included) when no graph is recorded, with one scratch array.
 
 Each gives the same bits as the chain of plain ops it replaces.
 
@@ -349,14 +352,19 @@ def attention_weights(q, k, scale, bias=None) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(a) -> Tensor:
+def gelu(a, out=None) -> Tensor:
     """Smooth GELU (tanh approximation); smoothness keeps finite-difference
     gradient checks well-conditioned.
 
     Forward and backward run in place on one or two scratch arrays, each step
     in the order of the plain formulas in the comments, so the results are
-    bit-identical to them."""
+    bit-identical to them.  With ``out`` (it may be ``a.data``, which is then
+    overwritten) the forward writes there and into its one scratch array; the
+    backward reads both, so ``out`` is refused while a graph is recorded."""
     a = _wrap(a)
+    if out is not None and _grad_mode.enabled and a.requires_grad:
+        raise RuntimeError("gelu(out=...) overwrites what its backward reads; "
+                           "call it under no_grad()")
     x = a.data
     # th = tanh(C * (x + 0.044715 * (x * x * x))); x**3 would go through pow
     th = np.multiply(x, x)
@@ -366,8 +374,8 @@ def gelu(a) -> Tensor:
     th *= _GELU_C
     np.tanh(th, out=th)
     # data = 0.5 * x * (1.0 + th)
-    data = np.multiply(x, 0.5)
-    data *= np.add(th, 1.0)
+    data = np.multiply(x, 0.5, out=out)
+    data *= np.add(th, 1.0, out=None if out is None else th)
 
     def backward(grad):
         # grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),

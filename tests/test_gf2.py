@@ -1,10 +1,14 @@
 import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffdec.gf2 as gf2
+from diffdec.bench import StopRule, run_ber
 from diffdec.channel import bpsk
 from diffdec.gf2 import (AlistFormatError, ParityCheckMatrix, RankDeficiencyError, builtin_code,
                          encode_batch, hard_decision, load_alist, ml_decode_batch,
@@ -272,6 +276,30 @@ class TestMlDecode:
         batch = ml_decode_batch(ham74, ham74_gen, Y)
         for i in range(64):
             assert np.array_equal(batch[i:i + 1], ml_decode_batch(ham74, ham74_gen, Y[i:i + 1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(codes(), st.integers(1, 40), st.integers(1, 5))
+    def test_sliced_scores_equal_one_slice_decode(self, code_and_rng, words, rows):
+        H, rng = code_and_rng
+        G = systematic_generator(H)
+        Y = rng.normal(0, 1, (words, H.n))
+        with mock.patch.object(gf2, "CALL_FLOATS", 2**62):
+            whole = ml_decode_batch(H, G, Y)
+        with mock.patch.object(gf2, "CALL_FLOATS", rows << G.k):  # `rows` words per slice
+            assert np.array_equal(ml_decode_batch(H, G, Y), whole)
+
+    def test_k16_round_holds_at_most_call_floats_scores(self):
+        # a round of 1024 words held 1024 * 2^16 scores (512 MiB) in one piece
+        A = np.random.default_rng(20).integers(0, 2, (4, 16), dtype=np.uint8)
+        H = ParityCheckMatrix(np.concatenate([A, np.eye(4, dtype=np.uint8)], axis=1))
+        stop = StopRule(min_words=1024, min_error_frames=0, max_words=1024)
+        tracemalloc.start()
+        try:
+            run_ber("ml", H, [4.0], stop, seed=1, batch_size=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_k_too_large_rejected(self):
         mat = np.zeros((2, 20), dtype=np.uint8)

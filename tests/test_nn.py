@@ -16,6 +16,7 @@ from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attent
                         bce_with_logits_mean, cosine_lr, load_checkpoint, preprocess,
                         preprocess_batch, save_checkpoint)
 from diffdec.nn import tensor as T
+from diffdec.nn.model import _BLOCK_FLOATS
 from diffdec.nn.tensor import Tensor
 from diffdec.training import training_step
 from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
@@ -29,6 +30,14 @@ ARCHS = {
     "mlp": ArchConfig("mlp", embed_dim=8, layers=2),
     "masked_attention": ArchConfig("masked_attention", embed_dim=8, layers=2),
 }
+DENOISE_CODES = {"rep31": lambda: builtin_code("rep31"),
+                 "hamming74": lambda: builtin_code("hamming74"), "ldpc49": pseudo_ldpc_49_24}
+# (backbone, code, layers, hidden_mult, rows): the MLP's inference pass at row
+# counts around its GELU block; masked attention runs forward itself
+DENOISE_CASES = (
+    [("mlp", code, layers, mult, rows) for code in DENOISE_CODES for layers in (0, 1, 2)
+     for mult in (1, 4) for rows in ("1", "block-1", "block", "block+1", "3.5 blocks")]
+    + [("masked_attention", code, 2, 4, "64") for code in DENOISE_CODES])
 
 
 def _gelu_reference(x):
@@ -156,13 +165,21 @@ class TestForward:
             feats_m, e_m = preprocess(y * bpsk(Codeword(cw)), ham74)
             assert np.array_equal(model.forward(feats_m, e_m).data, base)
 
-    @pytest.mark.parametrize("backbone", list(ARCHS))
-    def test_denoise_from_syndrome_bits_equals_forward_of_preprocess(self, ham74, backbone):
-        model = DenoiserModel.create(ham74, ARCHS[backbone], seed=10)
-        Y = np.random.default_rng(11).normal(0.5, 1, (64, 7))
-        S = ham74.syndrome_bits(hard_decision(Y))
-        assert len(np.unique(S.sum(axis=1))) == 4  # every parity count occurs
-        want = model.forward(*preprocess_batch(Y, ham74)).data
+    @pytest.mark.parametrize("backbone,code,layers,hidden_mult,rows", DENOISE_CASES)
+    def test_denoise_from_syndrome_bits_equals_forward_of_preprocess(
+            self, backbone, code, layers, hidden_mult, rows):
+        H = DENOISE_CODES[code]()
+        arch = ArchConfig(backbone, embed_dim=8, layers=layers, hidden_mult=hidden_mult)
+        model = DenoiserModel.create(H, arch, seed=10)
+        rng = np.random.default_rng(11)
+        for t in model.params.values():  # off the initial point: nonzero biases
+            t.data += rng.normal(0, 0.1, t.data.shape)
+        block = _BLOCK_FLOATS // (arch.embed_dim * hidden_mult)  # rows per GELU block
+        count = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+                 "3.5 blocks": 7 * block // 2, "64": 64}[rows]
+        Y = rng.normal(0.5, 1, (count, H.n))
+        S = H.syndrome_bits(hard_decision(Y))
+        want = model.forward(*preprocess_batch(Y, H)).data
         assert np.array_equal(model.denoise(Y, S), want)
 
     def test_batch_forward_matches_single(self, ham74):
@@ -337,6 +354,24 @@ class TestInPlaceOps:
         assert np.abs(out.data - _gelu_reference(x)).max() <= 1e-15 * np.abs(x).max()
         _loss_of(out, probe).backward()
         assert np.array_equal(t.grad, probe * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du))
+
+    def test_gelu_into_out_equals_gelu(self):
+        x, _ = self._inputs((32, 10, 64))
+        want = T.gelu(x).data
+        out = np.empty_like(x)
+        assert T.gelu(x, out=out).data is out
+        assert np.array_equal(out, want)
+        a = x.copy()
+        T.gelu(a, out=a)  # overwrites its operand
+        assert np.array_equal(a, want)
+
+    def test_gelu_into_out_refused_while_a_graph_is_recorded(self):
+        x, _ = self._inputs((4, 3, 5))
+        t = Tensor(x, requires_grad=True)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            T.gelu(t, out=np.empty_like(x))
+        with T.no_grad():
+            assert np.array_equal(T.gelu(t, out=np.empty_like(x)).data, T.gelu(x).data)
 
     def test_softmax_forward_and_backward(self):
         x, probe = self._inputs((6, 5, 8))
@@ -818,6 +853,19 @@ class TestCheckpoint:
             load_checkpoint(path)
         save_checkpoint(model, NoiseSchedule.constant(0.1, 4), path)  # longer is accepted
         assert load_checkpoint(path, code=ham74).schedule.T == 4
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**31, 2**31, 2)])
+    def test_array_dims_past_int64_rejected(self, tmp_path, ham74, dims):
+        # 2^64 and 2^63 floats: an int64 product reads them as 0 and as -2^63
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DenoiserModel.create(ham74, ARCHS["mlp"], seed=19), SCHED74, path)
+        body = path.read_bytes()[:-4]
+        start, values_at, _ = _record(body, "head.bias")
+        rank_at = start + 2 + len("head.bias")
+        body = body[:rank_at] + struct.pack("<B3I", 3, *dims) + body[values_at:]
+        path.write_bytes(_sealed(body))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, ham74, value):

@@ -2,9 +2,18 @@
 src/ must fail here rather than only as a failed benchmark run."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from diffdec.decoding import DecodeConfig, decode_batch
+from diffdec.diffusion import NoiseSchedule
+from diffdec.gf2 import builtin_code, hard_decision
+from diffdec.nn import ArchConfig, DenoiserModel
+from diffdec.nn.model import syndrome_features
+from diffdec.nn import tensor as nn_tensor
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -32,3 +41,36 @@ def test_patches_install_and_restore(tracer, make):
     with getattr(tracer, make)().installed() as patches:
         saved = list(patches.saved)
     assert saved and all(vars(owner)[attr] is original for owner, attr, original in saved)
+
+
+@pytest.mark.parametrize("mode", ["regular", "line_search"])
+def test_mlp_decode_calls_gelu_and_matmul_through_the_module(tracer, monkeypatch, mode):
+    # the tracer sees nn.op.gelu, nn.op.matmul and nn.matmul.mflop only through these
+    # module attributes; each denoiser call runs a GELU and a GEMM per layer after the first
+    calls, flops = Counter(), Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "matmul":
+                flops[name] += tracer._matmul_flops(args, kwargs)
+            return original(*args, **kwargs)
+        return counted
+
+    for owner, name in ((nn_tensor, "gelu"), (nn_tensor, "matmul"), (DenoiserModel, "denoise")):
+        monkeypatch.setattr(owner, name, counting(name, vars(owner)[name]))
+    H = builtin_code("hamming74")
+    model = DenoiserModel.create(H, ArchConfig("mlp", embed_dim=8, layers=2), seed=1)
+    Y = np.random.default_rng(2).normal(1.0, 1.0, (256, H.n))
+    decode_batch(model, H, NoiseSchedule.constant(0.25, 3), Y, DecodeConfig(mode=mode))
+    assert calls["denoise"] > 0
+    assert calls["gelu"] >= 2 * calls["denoise"]
+    assert calls["matmul"] >= 3 * calls["denoise"]  # the fold, the hidden layer and the head
+    S = H.syndrome_bits(hard_decision(Y))
+    flops.clear()
+    model.denoise(Y, S)
+    denoise_flops = flops["matmul"]
+    flops.clear()
+    with nn_tensor.no_grad():
+        model.forward(*syndrome_features(Y, S))
+    assert denoise_flops == flops["matmul"] > 0  # the same nn.matmul.mflop as forward
