@@ -22,8 +22,9 @@ by a learned conditioning row indexed by the parity-error count e in
   u(2n-k)*d*width per call, with u <= min(batch, n-k+1).  So the folded
   layer costs at most (1 + 1/d) times the unfolded one (every row with its
   own count), and about 1/d of it when the batch is much larger than u.
-  ``denoise`` runs the same products without a graph, with each bias and
-  GELU written in place into the fresh product;
+  When no graph is recorded, each GELU overwrites the fresh product of the
+  layer before it, which nothing else reads.  ``denoise``, the decoder's
+  entry point, is ``forward`` under ``no_grad`` for both backbones;
 * ``masked_attention`` - treat the 2n-k embeddings as tokens and run
   pre-norm self-attention blocks whose attention is restricted to pairs of
   positions that share a parity check (magnitude i <-> syndrome r iff
@@ -49,9 +50,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 BACKBONES = ("mlp", "masked_attention")
-# Floats of hidden activations per GELU block in ``DenoiserModel.denoise``
-# (256 KiB of float64; with GELU's scratch array 512 KiB, inside L2).
-_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -172,15 +170,6 @@ class DenoiserModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _check_batch(self, feats: np.ndarray, e: np.ndarray) -> None:
-        s = 2 * self.n - self.k
-        if feats.shape[-1] != s:
-            raise ValueError(f"expected feature length {s}, got {feats.shape[-1]}")
-        if ((e < 0) | (e > self.n - self.k)).any():
-            raise ValueError(f"parity count outside 0..{self.n - self.k}")
-        if len(e) != feats.shape[0]:
-            raise ValueError(f"{feats.shape[0]} feature rows but {len(e)} parity counts")
-
     def _folded_first_layer(self, feats, e: np.ndarray) -> Tensor:
         """The MLP's first dense layer (the head when layers = 0) with its bias,
         through the folded front end of the module docstring: M[c] =
@@ -196,27 +185,31 @@ class DenoiserModel:
         folded = T.matmul(gate, T.reshape(w1, (s, d, w1.data.shape[1])))
         return T.grouped_matmul(feats, group, folded, self.params[first + ".bias"])
 
-    def _mlp_tail(self) -> list[tuple[Tensor, Tensor]]:
-        """(weight, bias) of each dense layer after the first; GELU comes before each."""
-        if not self.arch.layers:  # the first layer is the head
-            return []
-        names = [f"hidden.{i}" for i in range(1, self.arch.layers)] + ["head"]
-        return [(self.params[name + ".weight"], self.params[name + ".bias"]) for name in names]
-
     def forward(self, features, e) -> Tensor:
         """Logits for one feature vector or a (B, 2n-k) batch."""
         feats = features if isinstance(features, Tensor) else Tensor(features)
         single = feats.data.ndim == 1
         if single:
             feats = T.reshape(feats, (1, -1))
-        e_arr = np.atleast_1d(np.asarray(e, dtype=np.int64))
-        self._check_batch(feats.data, e_arr)
+        e_arr = np.atleast_1d(np.asarray(e))
         b, s = feats.data.shape
         d = self.arch.embed_dim
+        if s != 2 * self.n - self.k:
+            raise ValueError(f"expected feature length {2 * self.n - self.k}, got {s}")
+        if not np.issubdtype(e_arr.dtype, np.integer):
+            raise ValueError(f"parity counts must be integers, got dtype {e_arr.dtype}")
+        if ((e_arr < 0) | (e_arr > self.n - self.k)).any():
+            raise ValueError(f"parity count outside 0..{self.n - self.k}")
+        if len(e_arr) != b:
+            raise ValueError(f"{b} feature rows but {len(e_arr)} parity counts")
         if self.arch.backbone == "mlp":
             logits = self._folded_first_layer(feats, e_arr)
-            for weight, bias in self._mlp_tail():
-                logits = T.linear(T.gelu(logits), weight, bias)
+            tail = [f"hidden.{i}" for i in range(1, self.arch.layers)] + ["head"]
+            for name in tail[:self.arch.layers]:  # none when the first layer is the head
+                # a product no graph reads takes its GELU in place
+                out = None if logits.requires_grad else logits.data
+                logits = T.linear(T.gelu(logits, out=out), self.params[name + ".weight"],
+                                  self.params[name + ".bias"])
         else:
             emb = T.mul(T.reshape(feats, (b, s, 1)), self.params["embed.weight"])
             psi = T.gather_rows(self.params["cond.table"], e_arr)
@@ -249,27 +242,13 @@ class DenoiserModel:
 
     def denoise(self, Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
         """Inference entry point: (B, n) words and their (B, n-k) syndrome
-        bits -> flip logits, equal to ``forward``'s bit for bit.
-
-        Masked attention runs ``forward`` under ``no_grad``.  The MLP records
-        no graph: after the folded first layer, each GEMM runs over all rows
-        as in ``forward`` (a BLAS may round a row differently in a product
-        of another row count), and its bias and the next GELU are written in
-        place into the fresh product, GELU over blocks of ``_BLOCK_FLOATS``
-        floats so that a block and its one scratch array stay in cache."""
+        bits -> flip logits, ``forward`` of their features under ``no_grad``."""
+        Y, syndrome = np.asarray(Y), np.asarray(syndrome)
+        if Y.ndim != 2 or Y.shape[1] != self.n or syndrome.shape != (len(Y), self.n - self.k):
+            raise ValueError(f"expected (B, {self.n}) words and (B, {self.n - self.k}) "
+                             f"syndrome bits, got {Y.shape} and {syndrome.shape}")
         with T.no_grad():
-            feats, e = syndrome_features(Y, syndrome)
-            if self.arch.backbone != "mlp":
-                return self.forward(feats, e).data
-            self._check_batch(feats, e)
-            h = self._folded_first_layer(feats, e).data
-            for weight, bias in self._mlp_tail():
-                rows = max(1, _BLOCK_FLOATS // h.shape[1])
-                for lo in range(0, len(h), rows):
-                    T.gelu(h[lo:lo + rows], out=h[lo:lo + rows])
-                h = T.matmul(h, weight).data
-                h += bias.data
-            return h
+            return self.forward(*syndrome_features(Y, syndrome)).data
 
     def zero_grad(self):
         for p in self.params.values():

@@ -16,6 +16,8 @@ themselves:
 
 * ``gelu``, ``layer_norm`` and ``softmax_last`` run each step on one or two
   scratch arrays of their own, in the order of the plain formulas;
+  ``gelu``'s forward goes over flat blocks of ``_BLOCK_FLOATS`` floats and
+  keeps its full tanh array only while a graph is recorded;
 * ``linear`` and ``grouped_matmul`` with a bias add it into the fresh
   product, so the graph holds one array for ``x @ w + b``;
 * ``softmax_last`` applies an optional scale and constant bias in the array
@@ -23,7 +25,7 @@ themselves:
   ``attention_weights`` names the fresh score product, so the scores, their
   scaled and masked forms and the weights share one array;
 * ``gelu`` writes into an ``out`` array the caller names (the operand's own
-  array included) when no graph is recorded, with one scratch array.
+  array included) when no graph is recorded, with one block of scratch.
 
 Each gives the same bits as the chain of plain ops it replaces.
 
@@ -350,32 +352,48 @@ def attention_weights(q, k, scale, bias=None) -> Tensor:
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
+# Floats per block of ``gelu``'s forward (256 KiB of float64; with its one
+# block of scratch 512 KiB, inside L2).
+_BLOCK_FLOATS = 2**15
 
 
 def gelu(a, out=None) -> Tensor:
     """Smooth GELU (tanh approximation); smoothness keeps finite-difference
     gradient checks well-conditioned.
 
-    Forward and backward run in place on one or two scratch arrays, each step
-    in the order of the plain formulas in the comments, so the results are
-    bit-identical to them.  With ``out`` (it may be ``a.data``, which is then
-    overwritten) the forward writes there and into its one scratch array; the
-    backward reads both, so ``out`` is refused while a graph is recorded."""
+    The forward runs over flat blocks of ``_BLOCK_FLOATS`` floats, so that a
+    block and its scratch stay in cache.  It keeps the full tanh array only
+    while a graph is recorded (the backward reads it), and otherwise one
+    block of scratch.  Forward and backward run each step in place, in the
+    order of the plain formulas in the comments, so the results are
+    bit-identical to them.  With ``out`` (C-contiguous; it may be ``a.data``,
+    which is then overwritten) the forward writes there; the backward reads
+    the operand, so ``out`` is refused while a graph is recorded."""
     a = _wrap(a)
-    if out is not None and _grad_mode.enabled and a.requires_grad:
+    record = _grad_mode.enabled and a.requires_grad
+    if out is not None and record:
         raise RuntimeError("gelu(out=...) overwrites what its backward reads; "
                            "call it under no_grad()")
     x = a.data
-    # th = tanh(C * (x + 0.044715 * (x * x * x))); x**3 would go through pow
-    th = np.multiply(x, x)
-    th *= x
-    th *= 0.044715
-    th += x
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    # data = 0.5 * x * (1.0 + th)
-    data = np.multiply(x, 0.5, out=out)
-    data *= np.add(th, 1.0, out=None if out is None else th)
+    data = np.empty(x.shape) if out is None else out
+    th = np.empty(x.shape) if record else None
+    scratch = np.empty(min(x.size, _BLOCK_FLOATS))
+    flat_x, flat_data = x.reshape(-1), data.reshape(-1, copy=False)
+    for lo in range(0, x.size, _BLOCK_FLOATS):
+        hi = lo + _BLOCK_FLOATS
+        xb = flat_x[lo:hi]
+        sb = scratch[:len(xb)]
+        tb = sb if th is None else th.reshape(-1)[lo:hi]
+        # th = tanh(C * (x + 0.044715 * (x * x * x))); x**3 would go through pow
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        # data = 0.5 * x * (1.0 + th)
+        db = np.multiply(xb, 0.5, out=flat_data[lo:hi])
+        db *= np.add(tb, 1.0, out=sb)
 
     def backward(grad):
         # grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),

@@ -16,7 +16,7 @@ from diffdec.nn import (Adam, ArchConfig, CheckpointError, DenoiserModel, attent
                         bce_with_logits_mean, cosine_lr, load_checkpoint, preprocess,
                         preprocess_batch, save_checkpoint)
 from diffdec.nn import tensor as T
-from diffdec.nn.model import _BLOCK_FLOATS
+from diffdec.nn.tensor import _BLOCK_FLOATS
 from diffdec.nn.tensor import Tensor
 from diffdec.training import training_step
 from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
@@ -32,8 +32,8 @@ ARCHS = {
 }
 DENOISE_CODES = {"rep31": lambda: builtin_code("rep31"),
                  "hamming74": lambda: builtin_code("hamming74"), "ldpc49": pseudo_ldpc_49_24}
-# (backbone, code, layers, hidden_mult, rows): the MLP's inference pass at row
-# counts around its GELU block; masked attention runs forward itself
+# (backbone, code, layers, hidden_mult, rows): row counts whose MLP hidden layers
+# straddle GELU's flat block of _BLOCK_FLOATS floats; masked attention at 64 rows
 DENOISE_CASES = (
     [("mlp", code, layers, mult, rows) for code in DENOISE_CODES for layers in (0, 1, 2)
      for mult in (1, 4) for rows in ("1", "block-1", "block", "block+1", "3.5 blocks")]
@@ -154,6 +154,38 @@ class TestForward:
         feats, _, _ = _random_case(ham74, np.random.default_rng(1))
         with pytest.raises(ValueError):
             model.forward(feats, 4)
+
+    def test_parity_counts_must_be_integers(self, ham74):
+        model = DenoiserModel.create(ham74, ARCHS["mlp"], seed=0)
+        feats = np.random.default_rng(1).normal(0, 1, (2, 10)) ** 2
+        with pytest.raises(ValueError, match="integers"):
+            model.forward(feats, np.array([1.7, 2.9]))
+        with pytest.raises(ValueError, match="integers"):
+            model.forward(feats[0], 1.0)
+        assert model.forward(feats[0], 1).shape == (7,)  # preprocess's Python int
+
+    @pytest.mark.parametrize("backbone", list(ARCHS))
+    def test_denoise_rejects_words_and_syndromes_of_the_wrong_width(self, ham74, backbone):
+        model = DenoiserModel.create(ham74, ARCHS[backbone], seed=0)
+        Y = np.random.default_rng(1).normal(1, 1, (4, 8))
+        for y, s in ((Y, np.zeros((4, 2))), (Y[:, :7], np.zeros((4, 4))),
+                     (Y[:, :7], np.zeros((3, 3))), (Y[0, :7], np.zeros(3))):
+            with pytest.raises(ValueError, match="syndrome bits"):
+                model.denoise(y, s)
+        assert model.denoise(Y[:, :7], np.zeros((4, 3))).shape == (4, 7)
+
+    @pytest.mark.parametrize("backbone,layers", [("mlp", 0), ("mlp", 2), ("masked_attention", 2)])
+    def test_forward_without_graph_writes_only_into_its_own_products(self, ham74, backbone, layers):
+        arch = ArchConfig(backbone, embed_dim=8, layers=layers)
+        model = DenoiserModel.create(ham74, arch, seed=2)
+        # 1500 rows: the hidden layers span several GELU blocks
+        feats, e = preprocess_batch(np.random.default_rng(3).normal(0.5, 1, (1500, 7)), ham74)
+        before = [feats.copy()] + [t.data.copy() for t in model.params.values()]
+        with T.no_grad():
+            model.forward(feats, e)
+            model.forward(Tensor(feats), e)
+        after = [feats] + [t.data for t in model.params.values()]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_codeword_invariance_of_full_input_bit_exact(self, ham74, ham74_gen):
         model = DenoiserModel.create(ham74, ARCHS["masked_attention"], seed=6)
@@ -342,8 +374,12 @@ class TestInPlaceOps:
         x[0, 0, :4] = (0.0, -0.0, 40.0, -40.0)
         return x, rng.normal(size=shape)
 
-    def test_gelu_forward_and_backward(self):
-        x, probe = self._inputs((32, 10, 64))  # large enough for the cube's rounding to show
+    # one GELU block, and several with a ragged tail (77,000 floats)
+    GELU_SHAPES = [(32, 10, 64), (7, 11, 1000)]
+
+    @pytest.mark.parametrize("shape", GELU_SHAPES)
+    def test_gelu_forward_and_backward(self, shape):
+        x, probe = self._inputs(shape)  # large enough for the cube's rounding to show
         c = np.sqrt(2.0 / np.pi)
         th = np.tanh(c * (x + 0.044715 * (x * x * x)))
         du = c * (1.0 + 3 * 0.044715 * (x * x))
@@ -355,8 +391,9 @@ class TestInPlaceOps:
         _loss_of(out, probe).backward()
         assert np.array_equal(t.grad, probe * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du))
 
-    def test_gelu_into_out_equals_gelu(self):
-        x, _ = self._inputs((32, 10, 64))
+    @pytest.mark.parametrize("shape", GELU_SHAPES)
+    def test_gelu_into_out_equals_gelu(self, shape):
+        x, _ = self._inputs(shape)
         want = T.gelu(x).data
         out = np.empty_like(x)
         assert T.gelu(x, out=out).data is out

@@ -64,7 +64,7 @@ def test_mlp_decode_calls_gelu_and_matmul_through_the_module(tracer, monkeypatch
     Y = np.random.default_rng(2).normal(1.0, 1.0, (256, H.n))
     decode_batch(model, H, NoiseSchedule.constant(0.25, 3), Y, DecodeConfig(mode=mode))
     assert calls["denoise"] > 0
-    assert calls["gelu"] >= 2 * calls["denoise"]
+    assert calls["gelu"] == 2 * calls["denoise"]  # one per layer after the first, however many rows
     assert calls["matmul"] >= 3 * calls["denoise"]  # the fold, the hidden layer and the head
     S = H.syndrome_bits(hard_decision(Y))
     flops.clear()
