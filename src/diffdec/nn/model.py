@@ -178,12 +178,18 @@ class DenoiserModel:
         s, d = 2 * self.n - self.k, self.arch.embed_dim
         first = "hidden.0" if self.arch.layers else "head"
         w1 = self.params[first + ".weight"]
-        counts, group = np.unique(e, return_inverse=True)
+        order = np.argsort(e, kind="stable")  # each count's rows, in batch order
+        ranked = e[order]
+        opens = np.ones(len(e), dtype=bool)  # where a count starts in ``ranked``
+        np.not_equal(ranked[1:], ranked[:-1], out=opens[1:])
+        starts = np.flatnonzero(opens)
+        counts = ranked[starts]
         gate = T.mul(T.reshape(self.params["embed.weight"], (s, 1, d)),
                      T.reshape(T.gather_rows(self.params["cond.table"], counts),
                                (1, len(counts), d)))
         folded = T.matmul(gate, T.reshape(w1, (s, d, w1.data.shape[1])))
-        return T.grouped_matmul(feats, group, folded, self.params[first + ".bias"])
+        return T.grouped_matmul(feats, order, np.append(starts, len(e)), folded,
+                                self.params[first + ".bias"])
 
     def forward(self, features, e) -> Tensor:
         """Logits for one feature vector or a (B, 2n-k) batch."""

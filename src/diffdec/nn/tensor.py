@@ -230,19 +230,19 @@ def linear(x, weight, bias, shape=None) -> Tensor:
     return _add_bias(product if shape is None else reshape(product, shape), bias)
 
 
-def grouped_matmul(x, group, tables, bias=None) -> Tensor:
-    """out[b] = x[b] @ tables[:, group[b], :] (+ bias) for x (B, s) and tables (s, G, w).
+def grouped_matmul(x, order, bounds, tables, bias=None) -> Tensor:
+    """out[b] = x[b] @ tables[:, g, :] (+ bias) for x (B, s) and tables (s, G, w),
+    for each row b in ``order[bounds[g]:bounds[g + 1]]``.
 
-    The rows of each group go through one product with their own table, so a
+    ``order`` lists the rows group by group and ``bounds`` (G + 1,) delimits
+    the groups in it, as a stable sort of the rows by group gives them.  The
+    rows of each group go through one product with their own table, so a
     row costs s*w multiply-adds however many groups there are.  A bias is
     added into the product's own array (see ``_add_bias``)."""
     x, tables = _wrap(x), _wrap(tables)
-    group = np.asarray(group, dtype=np.int64)
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(tables.data.shape[1] + 1))
     parts = [(g, order[lo:hi], x.data[order[lo:hi]])
              for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    data = np.empty((len(group), tables.data.shape[2]))
+    data = np.empty((len(order), tables.data.shape[2]))
     for g, rows, xg in parts:
         data[rows] = xg @ tables.data[:, g]
 

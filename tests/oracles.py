@@ -135,12 +135,17 @@ def flooding_bp(H: ParityCheckMatrix, y: np.ndarray, sigma: float, max_iters: in
     """Sum-product BP on one word, one edge at a time, in the flooding schedule:
     (bits, converged, iters, posterior).
 
-    The clamps and the early exit are the library's: channel LLRs and every
-    message saturate at +-LLR_CLAMP, tanh products at +-(1 - 1e-15), and the
-    word stops as soon as its hard decisions satisfy every check.  A check
-    message multiplies tanh(msg/2) of the bits before its edge left to right
-    and of those after it right to left, and a bit adds its check messages in
-    check order, so the posteriors agree with the batch decoder's to rounding.
+    Channel LLRs and every message saturate at +-LLR_CLAMP, as in the
+    library, and the word stops as soon as its hard decisions satisfy every
+    check.  This oracle works in full LLRs and clips tanh products at
+    +-(1 - 1e-15) before 2 atanh, where the library works in half-LLRs and
+    clips nothing before atanh: a product of tanh values never reaches the
+    clip, and the empty product 1 of a degree-one check saturates at the
+    clamp either way (2 atanh(1 - 1e-15) ~ 35.2 here, atanh(1) = inf there).
+    A check message multiplies tanh(msg/2) of the bits before its edge left
+    to right and of those after it right to left, and a bit adds its check
+    messages in check order, so the posteriors agree with the batch
+    decoder's to rounding.
     """
     eps = 1e-15
     checks = [np.flatnonzero(row) for row in H.matrix]

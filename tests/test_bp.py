@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from diffdec.bp import LLR_CLAMP, TannerGraph, bp_decode_batch, check_update
 from diffdec.channel import awgn_batch, bpsk, make_rng
-from diffdec.gf2 import (ParityCheckMatrix, encode_batch, ml_decode_batch, syndrome_weights,
-                         systematic_generator)
+from diffdec.gf2 import (ParityCheckMatrix, encode_batch, hard_decision, ml_decode_batch,
+                         syndrome_weights, systematic_generator)
 from oracles import codes, flooding_bp, regular_ldpc
 
 # codes whose checks have unequal degrees, some with bits in no check
@@ -70,6 +71,16 @@ class TestTannerGraph:
             assert np.array_equal(listed[listed < g.num_slots], edges[col == v])
             assert (listed[H.matrix[:, v].sum():] == g.num_slots).all()
 
+    @pytest.mark.parametrize("rows", UNEQUAL_ROWS)
+    def test_failing_checks_read_off_the_slots_equal_the_syndrome(self, rows):
+        H = ParityCheckMatrix(rows)
+        g = TannerGraph(H)
+        post = np.random.default_rng(8).normal(0, 1, (64, H.n))
+        post[::2, 0] = -1.0  # the bit that pads read decides 1 in every other word
+        fails = g.any_check_fails(np.ascontiguousarray(post.T[g.slot_col]))
+        assert np.array_equal(fails, H.syndrome_bits(hard_decision(post)).any(axis=1))
+        assert fails.any() and not fails.all()
+
 
 class TestCheckUpdate:
     def test_symmetric_under_argument_permutation(self):
@@ -90,7 +101,7 @@ class TestCheckUpdate:
         g = TannerGraph(ham74)
         m = np.full((g.num_slots, 3), 1e9)
         out = check_update(m, g)
-        assert (np.abs(out) <= LLR_CLAMP).all()
+        assert (np.abs(out) <= LLR_CLAMP / 2).all()  # half-LLRs
 
     def test_writes_into_the_given_array(self, ham74):
         g = TannerGraph(ham74)
@@ -173,11 +184,21 @@ class TestBpDecode:
         _, _, iters, post = bp_decode_batch(H, y, 0.8, max_iters=1)
         assert iters[0] == 1
         llr = 2 * y / 0.8**2
-        m_cv = check_update(llr[:, g.slot_col].T, g)
+        m_cv = 2 * check_update(llr[:, g.slot_col].T / 2, g)  # in half-LLRs
         edges = edge_slots(g)
         incidence = np.zeros((g.num_slots, H.n))
         incidence[edges, g.slot_col[edges]] = 1.0
         assert post == pytest.approx(llr + m_cv.T @ incidence, rel=1e-12, abs=1e-12)
+
+    def test_weight_one_check_adds_the_clamp_without_a_warning(self):
+        # the check's empty product is 1, whose atanh is inf before the clamp
+        H = ParityCheckMatrix([[1, 1, 1, 0], [0, 0, 0, 1]])
+        y = np.array([[0.9, -0.3, 0.8, -0.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, iters, post = bp_decode_batch(H, y, 0.8, max_iters=1)
+        assert iters[0] == 1
+        assert post[0, 3] == 2.0 * y[0, 3] / 0.8**2 + LLR_CLAMP
 
     @staticmethod
     def assert_one_iteration_matches_per_check_loop(H, Y, sigma):

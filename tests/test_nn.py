@@ -286,6 +286,12 @@ class TestFoldedFrontEnd:
         _assert_folded_forward_matches_unfolded(code_and_rng[0], layers, seed)
 
 
+def _groups(group: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each of ``count`` groups in batch order, and the bounds of each group in them."""
+    order = np.argsort(group, kind="stable")
+    return order, np.searchsorted(group[order], np.arange(count + 1))
+
+
 class TestGroupedMatmul:
     def test_matches_per_row_products_and_central_differences(self):
         rng = np.random.default_rng(40)
@@ -293,7 +299,8 @@ class TestGroupedMatmul:
         tables = Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
         group = np.array([2, 0, 2, 3, 0, 2, 0, 0, 3])  # group 1 has no rows
         probe = rng.normal(size=(9, 3))
-        out = T.grouped_matmul(x, group, tables)
+        order, bounds = _groups(group, 4)
+        out = T.grouped_matmul(x, order, bounds, tables)
         want = np.stack([x.data[b] @ tables.data[:, g] for b, g in enumerate(group)])
         assert np.allclose(out.data, want, rtol=0, atol=1e-14)
         T.matmul(T.reshape(T.mul(out, probe), (1, -1)), np.ones((probe.size, 1))).backward()
@@ -302,9 +309,9 @@ class TestGroupedMatmul:
             for index in np.ndindex(*t.data.shape):
                 saved = t.data[index]
                 t.data[index] = saved + h
-                up = (T.grouped_matmul(x.data, group, tables.data).data * probe).sum()
+                up = (T.grouped_matmul(x.data, order, bounds, tables.data).data * probe).sum()
                 t.data[index] = saved - h
-                down = (T.grouped_matmul(x.data, group, tables.data).data * probe).sum()
+                down = (T.grouped_matmul(x.data, order, bounds, tables.data).data * probe).sum()
                 t.data[index] = saved
                 assert abs(t.grad[index] - (up - down) / (2 * h)) <= 1e-8
         assert not tables.grad[:, 1].any()
@@ -495,12 +502,12 @@ class TestFusedOps:
 
     def test_grouped_matmul_with_bias_equals_grouped_matmul_then_add(self):
         rng = np.random.default_rng(49)
-        group = np.array([2, 0, 2, 3, 0, 2, 0, 0, 3])
+        order, bounds = _groups(np.array([2, 0, 2, 3, 0, 2, 0, 0, 3]), 4)
         arrays = [rng.normal(size=(9, 5)), rng.normal(size=(5, 4, 3)), rng.normal(size=3)]
         self._assert_same_as_chain(
-            lambda x, t, b: T.grouped_matmul(x, group, t, b),
-            lambda x, t, b: T.add(T.grouped_matmul(x, group, t), b),
-            arrays, rng.normal(size=(9, 3)), constants=(group,))
+            lambda x, t, b: T.grouped_matmul(x, order, bounds, t, b),
+            lambda x, t, b: T.add(T.grouped_matmul(x, order, bounds, t), b),
+            arrays, rng.normal(size=(9, 3)), constants=(order, bounds))
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
     def test_attention_weights_equal_matmul_mul_add_softmax(self, lead):

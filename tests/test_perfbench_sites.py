@@ -8,12 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diffdec.bp
+from diffdec.channel import awgn_batch, make_rng
 from diffdec.decoding import DecodeConfig, decode_batch
 from diffdec.diffusion import NoiseSchedule
-from diffdec.gf2 import builtin_code, hard_decision
+from diffdec.gf2 import (ParityCheckMatrix, builtin_code, encode_batch, hard_decision,
+                         systematic_generator)
 from diffdec.nn import ArchConfig, DenoiserModel
 from diffdec.nn.model import syndrome_features
 from diffdec.nn import tensor as nn_tensor
+from oracles import regular_ldpc
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -74,3 +78,31 @@ def test_mlp_decode_calls_gelu_and_matmul_through_the_module(tracer, monkeypatch
     with nn_tensor.no_grad():
         model.forward(*syndrome_features(Y, S))
     assert denoise_flops == flops["matmul"] > 0  # the same nn.matmul.mflop as forward
+
+
+def test_bp_calls_check_update_through_the_module_once_per_iteration(monkeypatch):
+    # bp.check_update.self_s and bp.edge_msgs read these calls, gf2.syndrome the syndrome ones
+    widths, syndromes = [], []
+    check_update, syndrome_bits = diffdec.bp.check_update, ParityCheckMatrix.syndrome_bits
+
+    def counted_check_update(messages, graph, *args, **kwargs):
+        assert messages.flags.c_contiguous and messages.shape[0] == graph.num_slots
+        widths.append(messages.shape[1])
+        return check_update(messages, graph, *args, **kwargs)
+
+    def counted_syndrome_bits(self, bits):
+        syndromes.append(np.shape(bits))
+        return syndrome_bits(self, bits)
+
+    monkeypatch.setattr(diffdec.bp, "check_update", counted_check_update)
+    monkeypatch.setattr(ParityCheckMatrix, "syndrome_bits", counted_syndrome_bits)
+    H = regular_ldpc(24, 3, 6, seed=1)
+    G = systematic_generator(H)
+    rng = make_rng(4)
+    Y = awgn_batch(encode_batch(G, rng.integers(0, 2, (200, G.k), dtype=np.uint8)), 0.7, rng)
+    syndromes.clear()  # the code's construction may compute syndromes of its own
+    _, converged, iters, _ = diffdec.bp.bp_decode_batch(H, Y, 0.7, max_iters=20)
+    assert syndromes == [Y.shape]  # once, on the channel decisions
+    # one call per iteration, on the words still alive: the width falls as words leave
+    assert widths == [int((iters >= it).sum()) for it in range(1, iters.max() + 1)]
+    assert len(set(widths)) > 2 and not converged.all()
