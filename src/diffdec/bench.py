@@ -128,8 +128,8 @@ class BerReport:
 
 
 def _make_decoder(kind: str, H: ParityCheckMatrix, G: GeneratorMatrix, sigma: float,
-                  model=None, schedule: NoiseSchedule | None = None,
-                  decode_config: DecodeConfig | None = None, bp_iters: int = 50):
+                  model, schedule: NoiseSchedule | None,
+                  decode_config: DecodeConfig | None, bp_iters: int):
     """Returns the batch decoder Y -> (bits, iters) and the floats it holds
     per word: the width ``run_ber`` sizes its calls by."""
     if kind == "ml":
@@ -243,8 +243,8 @@ def run_ber(decoder: str, code: ParityCheckMatrix, ebn0_list, stop: StopRule = S
 # Side studies
 # ---------------------------------------------------------------------------
 
-def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
-                       seed: int = 0) -> list[tuple[float, float, float]]:
+def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int,
+                       seed: int) -> list[tuple[float, float, float]]:
     """Mean/std of the parity-error count of noisy random codewords per sigma."""
     check_count(samples=samples)
     sigmas = [float(sigma) for sigma in sigmas]
@@ -265,7 +265,7 @@ def parity_noise_study(code: ParityCheckMatrix, sigmas, samples: int = 1000,
 
 
 def lambda_histogram(model, code: ParityCheckMatrix, schedule: NoiseSchedule,
-                     ebn0_db: float, samples: int = 1000, seed: int = 0,
+                     ebn0_db: float, samples: int, seed: int,
                      config: DecodeConfig = DecodeConfig()) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of chosen line-search step sizes over the grid values."""
     if config.mode != "line_search":

@@ -96,7 +96,7 @@ def check_update(messages: np.ndarray, graph: TannerGraph,
     return prod.reshape(messages.shape)
 
 
-def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int = 50):
+def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters: int):
     """Decode a (B, n) batch; returns (bits, converged, iters, posteriors)."""
     check_positive(sigma=sigma)
     check_count(max_iters=max_iters)
@@ -134,4 +134,5 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
             alive = alive[keep]
             # np.compress keeps C order, so the in-place updates above stay on contiguous rows
             m_vc, llr_T = np.compress(keep, m_vc, axis=1), np.compress(keep, llr_T, axis=1)
+        del slots, m_cv, post  # freed before the next iteration allocates its own
     return bits, done, iters, posterior

@@ -22,8 +22,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by ``seed`` in the low 64 bits of the key.
 
     ``stream`` occupies the high 64 bits of the key and separates logically
-    distinct sample streams (e.g. one per EbN0 point) under one seed.
+    distinct sample streams (e.g. one per EbN0 point) under one seed.  Both
+    must be integers, of either sign: a fractional seed would be truncated
+    to another seed's stream.
     """
+    check_integer(seed=seed, stream=stream)
     key = ((int(stream) & (2**64 - 1)) << 64) | (int(seed) & (2**64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -65,6 +68,13 @@ def check_positive(**values: float) -> None:
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):  # nan fails both tests
             raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
+def check_integer(**values) -> None:
+    """Raise ValueError naming the first value that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_count(least: int = 1, /, **values) -> None:

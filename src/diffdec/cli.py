@@ -7,12 +7,17 @@ file values are parsed and checked exactly like flags (a bad one is a usage
 error, exit 2), explicit flags override them, and other keys are ignored.
 Every artifact embeds its effective configuration as ``# key = value``
 comment lines, so it can itself be passed back via ``--config`` to
-reproduce the run byte for byte.  The flags that set a config dataclass
-field (TrainConfig, StopRule, DecodeConfig) take their name, type and
-default from that field, and those of ``bench`` that pass a
-``run_ber`` keyword take its default.  ``bench --workers`` only sets how
-many decoder calls run at once: the artifact depends on the seed, not on
-the worker count.
+reproduce the run byte for byte.
+
+Each default is decided in one place.  The flags that set a config
+dataclass field (TrainConfig, StopRule, DecodeConfig) take their name, type
+and default from that field; those of ``bench`` that pass a ``run_ber``
+keyword (``--seed``, ``--workers``, ``--bp-iters``, ``--batch-size``) take
+its default; every subcommand's ``--code`` takes ``TrainConfig.code``.  The
+``study`` flags declare their own defaults (``--samples``, ``--seed`` and the
+rest); the study functions take the sample count and seed without defaults
+of their own.  ``bench --workers`` only sets how many decoder calls run at
+once: the artifact depends on the seed, not on the worker count.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ def _from_fields(cls, args, **given):
 
 
 def _add_code_args(p: argparse.ArgumentParser):
-    p.add_argument("--code", default="hamming74",
+    p.add_argument("--code", default=TrainConfig.code,
                    help=f"built-in code name ({', '.join(sorted(BUILTIN_CODES))})")
     p.add_argument("--alist", default="", help="path to an alist file (overrides --code)")
 

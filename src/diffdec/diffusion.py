@@ -59,8 +59,11 @@ class NoiseSchedule:
 
     def _index(self, t) -> np.ndarray:
         """0-based indices of the 1-based steps ``t`` (any shape); rejects
-        steps outside 1..T."""
-        t = np.asarray(t, dtype=np.int64)
+        steps that are not integers (a float would be truncated, a bool
+        read as 0 or 1) and steps outside 1..T."""
+        t = np.asarray(t)
+        if not np.issubdtype(t.dtype, np.integer):  # numpy's bool is no integer type
+            raise ValueError(f"steps must be integers, got dtype {t.dtype}")
         if ((t < 1) | (t > self.T)).any():
             raise ValueError(f"steps outside 1..{self.T}")
         return t - 1

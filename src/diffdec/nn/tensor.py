@@ -416,8 +416,12 @@ def gelu(a, out=None) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+_LN_EPS = 1e-5
+
+
+def layer_norm(a, gain, bias) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (the variance
+    guarded by _LN_EPS), then affine."""
     a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
     x = a.data
     d = x.shape[-1]
@@ -425,7 +429,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = x - mu
     data = np.square(xhat)
     var = data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     data = np.multiply(xhat, gain.data, out=data)
     data += bias.data

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import check_count, check_positive, make_rng
+from .channel import check_count, check_integer, check_positive, make_rng
 from .diffusion import NoiseSchedule, forward_sample
 from .gf2 import ParityCheckMatrix, builtin_code
 from .nn import Adam, ArchConfig, DenoiserModel, bce_with_logits_mean, cosine_lr, preprocess_batch
@@ -42,6 +42,7 @@ class TrainConfig:
         check_count(0, epochs=self.epochs)
         check_count(batches_per_epoch=self.batches_per_epoch, batch_size=self.batch_size)
         check_positive(beta=self.beta, lr0=self.lr0)
+        check_integer(seed=self.seed)
         if not (np.isfinite(self.lr_min) and self.lr_min >= 0):
             raise ValueError(f"lr_min must be a finite number >= 0, got {self.lr_min}")
         self.arch  # ArchConfig rejects a bad architecture here, not in train()

@@ -117,6 +117,11 @@ class TestRunBer:
         b = run_ber("ml", rep31, [3.0, 5.0], **kw).to_csv()
         assert a == b
 
+    def test_non_integer_seed_rejected(self, rep31):
+        # seed=1.5 once decoded seed 1's stream and echoed "# seed = 1.5"
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_ber("ml", rep31, [3.0], stop=StopRule(100, 0, 100), seed=1.5)
+
     def test_accounting_invariants(self, ham74):
         report = run_ber("bp", ham74, [2.0], stop=StopRule(2000, 10, 4000), seed=3)
         p = report.points[0]
@@ -205,7 +210,7 @@ class TestRunBer:
         def width(kind, model=None, code=ham74, gen=ham74_gen, **config):
             schedule = NoiseSchedule.constant(0.25, code.num_checks)
             return diffdec.bench._make_decoder(kind, code, gen, 0.7, model, schedule,
-                                               DecodeConfig(**config))[1]
+                                               DecodeConfig(**config), 50)[1]
 
         mlp = untrained_denoiser(ham74)["model"]
         attention = untrained_denoiser(ham74, "masked_attention")["model"]
@@ -369,7 +374,7 @@ class TestLambdaHistogram:
     def test_fewer_than_one_sample_rejected(self, ham74, samples):
         model = DenoiserModel.create(ham74, ArchConfig("mlp", 8, 1), seed=0)
         with pytest.raises(ValueError, match="samples"):
-            lambda_histogram(model, ham74, NoiseSchedule.constant(0.01, 3), 4.0, samples)
+            lambda_histogram(model, ham74, NoiseSchedule.constant(0.01, 3), 4.0, samples, 0)
 
 
 class TestForwardTrace:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,7 +126,7 @@ class TestCheckUpdate:
 class TestBpDecode:
     def test_noiseless_converges_in_zero_iterations(self, ham74, ham74_gen):
         cw = ham74_gen.codebook()[13:14]
-        bits, converged, iters, _ = bp_decode_batch(ham74, bpsk(cw), sigma=0.5)
+        bits, converged, iters, _ = bp_decode_batch(ham74, bpsk(cw), sigma=0.5, max_iters=50)
         assert converged[0] and iters[0] == 0
         assert np.array_equal(bits, cw)
 
@@ -230,17 +231,32 @@ class TestBpDecode:
     @pytest.mark.parametrize("word", [[np.nan, 1.0, 1.0], [np.inf, -np.inf, 1.0]])
     def test_non_finite_word_rejected(self, rep31, word):
         with pytest.raises(ValueError, match="finite"):
-            bp_decode_batch(rep31, np.array([word]), 0.8)
+            bp_decode_batch(rep31, np.array([word]), 0.8, max_iters=50)
 
     def test_sigma_validation(self, rep31):
         with pytest.raises(ValueError):
-            bp_decode_batch(rep31, np.ones((1, 3)), sigma=0.0)
+            bp_decode_batch(rep31, np.ones((1, 3)), sigma=0.0, max_iters=50)
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.8])
     def test_non_finite_or_negative_sigma_rejected(self, rep31, sigma):
         # a nan or infinite sigma once made every word a converged all-zero codeword
         with pytest.raises(ValueError, match="sigma must be a positive finite number"):
-            bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), sigma)
+            bp_decode_batch(rep31, np.array([[0.9, -0.2, 0.4]]), sigma, max_iters=50)
+
+    def test_peak_memory_holds_one_iteration_of_slot_arrays(self):
+        # (3,6)-regular (128,64) code, 1024 words at sigma 0.8, most of them
+        # past the first iteration: 5.4 (num_slots, B) float64 arrays while
+        # an iteration's slots and posteriors lived on into the next, 4.7 since
+        H = regular_ldpc(128, 3, 6, seed=1)
+        Y = 1.0 + 0.8 * np.random.default_rng(0).standard_normal((1024, H.n))
+        slot_array = TannerGraph(H).num_slots * len(Y) * 8
+        tracemalloc.start()
+        try:
+            bp_decode_batch(H, Y, 0.8, max_iters=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * slot_array, f"{peak / slot_array:.2f} slot arrays"
 
     @pytest.mark.parametrize("max_iters", [0, -5, 2.5])
     def test_iteration_cap_below_one_rejected(self, rep31, max_iters):

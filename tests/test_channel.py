@@ -86,6 +86,17 @@ class TestDeterminism:
         b = make_rng(123).standard_normal(1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,stream", [(1.5, 0), (np.float64(1.0), 0), ("1", 0),
+                                             (1, 2.5), (1, None)])
+    def test_non_integer_seed_or_stream_rejected(self, seed, stream):
+        # a seed of 1.5 once drew seed 1's stream
+        with pytest.raises(ValueError, match="seed|stream"):
+            make_rng(seed, stream=stream)
+
+    def test_negative_and_numpy_integer_seeds_accepted(self):
+        assert np.array_equal(make_rng(np.int64(-1), stream=np.uint8(3)).random(4),
+                              make_rng(-1, stream=3).random(4))
+
     def test_decoder_view_invariant_under_codeword_modulation(self, ham74, ham74_gen):
         rng = make_rng(5)
         y = awgn_batch(encode_batch(ham74_gen, [[0, 0, 0, 0]]), 0.7, rng)

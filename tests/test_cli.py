@@ -350,6 +350,16 @@ class TestStudyCli:
         assert body[0] == "sigma,mean_parity_errors,std_parity_errors"
         assert len(body) == 4
 
+    def test_parity_noise_default_flags_echo_and_replay(self, tmp_path, capsys):
+        # the sample count, seed and code defaults are the study flags' and
+        # TrainConfig's; the study functions have none of their own
+        first, replay = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["study", "--kind", "parity-noise", "--out", str(first)]) == 0
+        echo = first.read_text().splitlines()
+        assert {"# samples = 2000", "# seed = 0", "# code = hamming74"} <= set(echo)
+        assert main(["study", "--config", str(first), "--out", str(replay)]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+
     def test_parity_noise_rejects_an_empty_sigma_list(self, tmp_path, capsys):
         # once exited 0 with a CSV holding only its header
         out = tmp_path / "pn.csv"

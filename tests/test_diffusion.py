@@ -34,6 +34,25 @@ class TestSchedule:
         with pytest.raises(ValueError):
             CONST.beta(65)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: s.beta(2.7),  # was truncated to beta_2
+        lambda s: s.beta_bar(np.float64(2.0)),
+        lambda s: noise_coefficients(s, [1.9, 2.0]),  # was c(1), c(2)
+        lambda s: forward_sample(np.zeros(3), 3.5, s, eps=np.zeros(3)),  # was step 3
+        lambda s: posterior_coefficients(1.5, s),  # was step 1
+        lambda s: s.beta(True),  # was beta_1
+        lambda s: noise_coefficients(s, np.array([True, False])),
+    ])
+    def test_non_integer_steps_rejected(self, call):
+        with pytest.raises(ValueError, match="steps must be integers"):
+            call(NoiseSchedule.linear(0.01, 0.05, 5))
+
+    def test_integer_steps_of_any_width_accepted(self):
+        s = NoiseSchedule.linear(0.01, 0.05, 5)
+        assert s.beta(np.int32(2)) == s.beta(2) == s.betas[1]
+        assert np.array_equal(noise_coefficients(s, np.array([1, 2], dtype=np.uint8)),
+                              noise_coefficients(s, [1, 2]))
+
 
 class TestForwardSample:
     def test_zero_noise_hook_is_identity(self):

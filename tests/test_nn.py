@@ -779,13 +779,13 @@ class TestAdam:
 
 class TestCosine:
     def test_endpoints_and_midpoint(self):
-        assert cosine_lr(0, 100) == pytest.approx(1e-4)
-        assert cosine_lr(100, 100) == pytest.approx(5e-6)
-        assert cosine_lr(50, 100) == pytest.approx((1e-4 + 5e-6) / 2)
+        assert cosine_lr(0, 100, 1e-4, 5e-6) == pytest.approx(1e-4)
+        assert cosine_lr(100, 100, 1e-4, 5e-6) == pytest.approx(5e-6)
+        assert cosine_lr(50, 100, 1e-4, 5e-6) == pytest.approx((1e-4 + 5e-6) / 2)
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            cosine_lr(5, 4)
+            cosine_lr(5, 4, 1e-4, 5e-6)
 
 
 def _record(raw: bytes, name: str) -> tuple[int, int, int]:

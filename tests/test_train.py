@@ -80,6 +80,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(code="rep31", **{field: value})
 
+    @pytest.mark.parametrize("seed", [2.5, np.float64(2.0), "2", None])
+    def test_non_integer_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TrainConfig(code="rep31", seed=seed)
+
+    def test_negative_seed_accepted(self):
+        assert TrainConfig(code="rep31", seed=-1).seed == -1
+
     def test_zero_epochs_and_numpy_integer_counts_accepted(self):
         cfg = TrainConfig(code="rep31", epochs=0, batches_per_epoch=np.int64(3),
                           batch_size=np.int32(8))
