@@ -153,9 +153,9 @@ class GeneratorMatrix:
         self.matrix = matrix
         self.permutation = tuple(int(p) for p in permutation)
         self.k, self.n = matrix.shape
-        # (n, largest column weight): the message bits of each code bit, padded with k
-        self.msg_rows = padded_support(matrix.T, self.k)
-        self.msg_rows.setflags(write=False)
+        # float64 copy for encode_batch: a product of 0/1 values over k terms is exact
+        self._matrix_f64 = matrix.astype(np.float64)
+        self._matrix_f64.setflags(write=False)
         self._codebook: np.ndarray | None = None
         if len(_eliminate(matrix)[1]) != self.k:
             raise RankDeficiencyError("generator rows are linearly dependent")
@@ -195,11 +195,12 @@ def systematic_generator(H: ParityCheckMatrix) -> GeneratorMatrix:
 
 def encode_batch(G: GeneratorMatrix, messages: np.ndarray) -> np.ndarray:
     """Encode a (B, k) batch of messages to (B, n) codeword bits: each code bit is
-    the parity of its message bits, gathered through ``G.msg_rows``."""
+    the parity of its message bits, the low bit of one float64 product with G,
+    which counts them exactly."""
     msgs = np.asarray(messages, dtype=np.uint8)
     if msgs.ndim != 2 or msgs.shape[1] != G.k:
         raise ValueError(f"expected (B, {G.k}) messages, got shape {msgs.shape}")
-    return _gathered_parity(msgs, G.msg_rows)
+    return ((msgs.astype(np.float64) @ G._matrix_f64).astype(np.int64) & 1).astype(np.uint8)
 
 
 def hard_decision(y: np.ndarray) -> np.ndarray:

@@ -30,12 +30,14 @@ by a learned conditioning row indexed by the parity-error count e in
   positions that share a parity check (magnitude i <-> syndrome r iff
   H[r,i]=1, magnitude i <-> magnitude j iff some check contains both,
   syndrome tokens only attend to themselves), plus self-connections.
-  Logits are read off the first n tokens with a shared linear head, so the
-  last block computes only those bit tokens: its keys and values come from
-  every token, its queries, attention output, feed-forward and the final
-  layer norm from the first n alone (with no block, the n tokens go
-  straight to the final layer norm).  The logits equal those of running
-  every token through every block and slicing at the end, bit for bit.
+  A block's queries, keys, values, masked softmax and value product are
+  one ``tensor.attention`` node.  Logits are read off the first n tokens
+  with a shared linear head, so the last block computes only those bit
+  tokens: its keys and values come from every token, its queries,
+  attention output, feed-forward and the final layer norm from the first
+  n alone (with no block, the n tokens go straight to the final layer
+  norm).  The logits equal those of running every token through every
+  block and slicing at the end, bit for bit.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class DenoiserModel:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def create(cls, code: ParityCheckMatrix, arch: ArchConfig, seed: int = 0) -> "DenoiserModel":
+    def create(cls, code: ParityCheckMatrix, arch: ArchConfig, seed: int) -> "DenoiserModel":
         n, k = code.n, code.k
         s = 2 * n - k
         d = arch.embed_dim
@@ -227,14 +229,10 @@ class DenoiserModel:
             for i in range(layers):
                 pre = f"blocks.{i}."
                 h = T.layer_norm(x, self.params[pre + "ln1.gain"], self.params[pre + "ln1.bias"])
-                k_ = T.matmul(h, self.params[pre + "wk"])
-                v = T.matmul(h, self.params[pre + "wv"])
-                if i == layers - 1:  # the head reads the bit tokens alone: only they go on
-                    h = T.slice_leading(h, self.n)
+                if i == layers - 1:  # the head reads the bit tokens alone: only they query
                     x = T.slice_leading(x, self.n)
-                q = T.matmul(h, self.params[pre + "wq"])
-                bias = self._mask_bias[:h.data.shape[1]]
-                att = T.matmul(T.attention_weights(q, k_, scale, bias), v)
+                att = T.attention(h, *(self.params[pre + w] for w in ("wq", "wk", "wv")),
+                                  scale, self._mask_bias[:x.data.shape[1]])
                 x = T.add(x, T.matmul(att, self.params[pre + "wo"]))
                 h2 = T.layer_norm(x, self.params[pre + "ln2.gain"], self.params[pre + "ln2.bias"])
                 f = T.gelu(T.linear(h2, self.params[pre + "ffn1.weight"],

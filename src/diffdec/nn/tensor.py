@@ -16,22 +16,34 @@ themselves:
 
 * ``gelu``, ``layer_norm`` and ``softmax_last`` run each step on one or two
   scratch arrays of their own, in the order of the plain formulas;
-  ``gelu``'s forward goes over flat blocks of ``_BLOCK_FLOATS`` floats and
-  keeps its full tanh array only while a graph is recorded;
+  ``gelu``'s forward goes over flat blocks of ``_BLOCK_FLOATS`` floats and,
+  while a graph is recorded, computes its derivative there too, into an
+  array the backward then multiplies by once;
 * ``linear`` and ``grouped_matmul`` with a bias add it into the fresh
   product, so the graph holds one array for ``x @ w + b``;
 * ``softmax_last`` applies an optional scale and constant bias in the array
-  it computes the weights in, or in an ``out`` array the caller names;
-  ``attention_weights`` names the fresh score product, so the scores, their
-  scaled and masked forms and the weights share one array;
+  it computes the weights in;
+* ``attention`` is one node for a block's masked self-attention: one
+  product of the tokens with [wq | wk | wv], scores whose scale, mask and
+  softmax run in the score array, and a backward that writes dq | dk | dv
+  into one array, so that each of the tokens' and the weights' gradients
+  is one product;
 * ``gelu`` writes into an ``out`` array the caller names (the operand's own
   array included) when no graph is recorded, with one block of scratch.
 
-Each gives the same bits as the chain of plain ops it replaces.
+Each gives the same bits as the chain of plain ops it replaces, with two
+exceptions.  Sums over the last axis (softmax's normaliser, layer norm's
+mean and variance, and the row dots of their backward) go through
+``einsum``: on short rows it costs a fraction of ``sum``'s overhead and
+gives each row the same bits at any batch size, though not those of
+``sum``'s pairwise order.  And ``attention``'s backward adds the q, k and v
+paths inside one product, so its gradients match the chain's to rounding.
+``_unbroadcast`` also sums leading axes through ``einsum``, with ``sum``'s
+bits.
 
 Only the ops the denoiser needs are provided (broadcasted add/mul, matmul,
 a linear layer, a matmul with one table per group of rows, reshape, row
-gather, softmax, attention weights, gelu, layer norm, stable
+gather, softmax, masked attention, gelu, layer norm, stable
 BCE-with-logits).
 """
 
@@ -138,7 +150,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcasted gradient back down to the operand's shape."""
     extra = grad.ndim - len(shape)
     if extra:  # every leading axis in one sum, e.g. a bias over (B, s, w)
-        grad = grad.reshape((-1,) + grad.shape[extra:]).sum(axis=0)
+        flat = grad.reshape((-1,) + grad.shape[extra:])
+        # einsum adds the rows in sum(axis=0)'s order at a fraction of its
+        # overhead, except in one column, which sum adds pairwise
+        one_column = flat.ndim == 1 or flat.shape[-1] == 1
+        grad = flat.sum(axis=0) if one_column else np.einsum("i...->...", flat)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -273,16 +289,6 @@ def reshape(a, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def swap_last_axes(a) -> Tensor:
-    a = _wrap(a)
-    data = a.data.swapaxes(-1, -2)
-
-    def backward(grad):
-        a._accumulate(grad.swapaxes(-1, -2))
-
-    return _make(data, (a,), backward)
-
-
 def slice_leading(a, count: int) -> Tensor:
     """Keep the first ``count`` entries along axis 1 (token readout)."""
     a = _wrap(a)
@@ -310,45 +316,105 @@ def gather_rows(table, idx) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def softmax_last(a, scale=None, bias=None, out=None) -> Tensor:
-    """Softmax over the last axis of ``a * scale + bias``; -inf entries get
-    exactly zero weight.
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept as an axis of 1.  ``einsum`` costs less
+    than ``sum`` on short rows and gives each row the same bits whatever the
+    batch around it."""
+    return np.einsum("...i->...", x)[..., None]
 
-    ``scale`` (a number) and ``bias`` (a constant array that broadcasts to
-    ``a``'s shape, such as an attention mask of 0 and -inf) are optional.
-    Every step writes into one array: ``out`` when given (it may be
-    ``a.data``, which is then overwritten), else the first step's.  The
-    results equal those of ``mul``, ``add`` and the plain softmax bit for
-    bit, and the backward is the softmax rule followed by ``* scale``."""
-    a = _wrap(a)
-    x = a.data
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, as ``_row_sums`` of ``x * y``."""
+    return np.einsum("...i,...i->...", x, y)[..., None]
+
+
+def _softmax(x: np.ndarray, scale, bias, out) -> np.ndarray:
+    """Softmax over the last axis of ``x * scale + bias`` (each optional), every
+    step into ``out`` (``x`` itself allowed) or else into the first step's array."""
     if scale is not None:
         x = out = np.multiply(x, scale, out=out)
     if bias is not None:
         x = out = np.add(x, bias, out=out)
     s = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= _row_sums(s)
+    return s
+
+
+def _softmax_grad(grad: np.ndarray, s: np.ndarray, scale, out=None) -> np.ndarray:
+    """The gradient of ``_softmax``'s operand from that of its weights ``s``:
+    (grad - rowdot(grad, s)) * s, then * scale; into ``out`` (``grad`` allowed)."""
+    ga = np.subtract(grad, _row_dots(grad, s), out=out)
+    ga *= s
+    if scale is not None:
+        ga *= scale
+    return ga
+
+
+def softmax_last(a, scale=None, bias=None) -> Tensor:
+    """Softmax over the last axis of ``a * scale + bias``; -inf entries get
+    exactly zero weight.
+
+    ``scale`` (a number) and ``bias`` (a constant array that broadcasts to
+    ``a``'s shape, such as an attention mask of 0 and -inf) are optional.
+    Every step writes into the first step's array.  The results equal those
+    of ``mul``, ``add`` and the plain softmax bit for bit, and the backward
+    is the softmax rule followed by ``* scale``."""
+    a = _wrap(a)
+    s = _softmax(a.data, scale, bias, None)
 
     def backward(grad):
-        ga = np.multiply(grad, s)
-        inner = ga.sum(axis=-1, keepdims=True)
-        ga = np.subtract(grad, inner, out=ga)
-        ga *= s
-        if scale is not None:
-            ga *= scale
-        a._accumulate(ga)
+        a._accumulate(_softmax_grad(grad, s, scale))
 
     return _make(s, (a,), backward)
 
 
-def attention_weights(q, k, scale, bias=None) -> Tensor:
-    """softmax_last(q @ k^T * scale + bias) in one (..., s, s) array.
+def attention(h, wq, wk, wv, scale, bias) -> Tensor:
+    """softmax(q k^T * scale + bias) v for q, k, v = h wq, h wk, h wv, in one node.
 
-    The scores come from ``matmul``; their softmax overwrites them in place,
-    since the score product's backward reads q and k only."""
-    scores = matmul(q, swap_last_axes(k))
-    return softmax_last(scores, scale, bias, out=scores.data)
+    ``h`` is (B, s, d) and ``bias`` a constant (s_q, s) array such as an
+    attention mask of 0 and -inf (every row with a 0); the first s_q tokens
+    query, every token is a key and a value, and the output is (B, s_q, d).
+    With s_q = s one product of h with [wq | wk | wv] gives q, k and v;
+    otherwise [wk | wv] goes over every token and wq over the first s_q
+    alone.  The scores' softmax (see ``_softmax``) overwrites the score
+    product.  The backward writes dq | dk | dv into one (B, s, 3d) array (dq
+    zero past row s_q), so that h's gradient is one product with
+    [wq | wk | wv]^T and the three weights' gradient one product with h^T."""
+    h, wq, wk, wv = (_wrap(t) for t in (h, wq, wk, wv))
+    b, s, d = h.data.shape
+    queries = bias.shape[0]
+    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    rows = h.data.reshape(-1, d)
+    if queries == s:
+        qkv = (rows @ w).reshape(b, s, 3 * d)
+        q, kv = qkv[..., :d], qkv[..., d:]
+    else:
+        kv = (rows @ w[:, d:]).reshape(b, s, 2 * d)
+        q = (h.data[:, :queries].reshape(-1, d) @ wq.data).reshape(b, queries, d)
+    k, v = kv[..., :d], kv[..., d:]
+    scores = q @ k.swapaxes(-1, -2)
+    weights = _softmax(scores, scale, bias, out=scores)
+    data = weights @ v
+
+    def backward(grad):
+        dqkv = np.empty((b, s, 3 * d))
+        np.matmul(weights.swapaxes(-1, -2), grad, out=dqkv[..., 2 * d:])
+        dscores = grad @ v.swapaxes(-1, -2)
+        _softmax_grad(dscores, weights, scale, out=dscores)
+        np.matmul(dscores, k, out=dqkv[:, :queries, :d])
+        dqkv[:, queries:, :d] = 0.0
+        np.matmul(dscores.swapaxes(-1, -2), q, out=dqkv[..., d:2 * d])
+        dqkv = dqkv.reshape(-1, 3 * d)
+        if h.requires_grad:
+            h._accumulate((dqkv @ w.T).reshape(b, s, d))
+        if wq.requires_grad or wk.requires_grad or wv.requires_grad:
+            dw = rows.T @ dqkv
+            for i, t in enumerate((wq, wk, wv)):
+                if t.requires_grad:
+                    t._accumulate(dw[:, i * d:(i + 1) * d])
+
+    return _make(data, (h, wq, wk, wv), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -362,28 +428,28 @@ def gelu(a, out=None) -> Tensor:
     gradient checks well-conditioned.
 
     The forward runs over flat blocks of ``_BLOCK_FLOATS`` floats, so that a
-    block and its scratch stay in cache.  It keeps the full tanh array only
-    while a graph is recorded (the backward reads it), and otherwise one
-    block of scratch.  Forward and backward run each step in place, in the
+    block and its scratch stay in cache.  While a graph is recorded it also
+    computes the derivative, block by block into the array that held the
+    tanh, and keeps that array for the backward, which is then one multiply;
+    otherwise it keeps one block of scratch.  Each step runs in place, in the
     order of the plain formulas in the comments, so the results are
     bit-identical to them.  With ``out`` (C-contiguous; it may be ``a.data``,
-    which is then overwritten) the forward writes there; the backward reads
-    the operand, so ``out`` is refused while a graph is recorded."""
+    which is then overwritten) the forward writes there; ``out`` is for
+    inference, and refused while a graph is recorded."""
     a = _wrap(a)
     record = _grad_mode.enabled and a.requires_grad
     if out is not None and record:
-        raise RuntimeError("gelu(out=...) overwrites what its backward reads; "
-                           "call it under no_grad()")
+        raise RuntimeError("gelu(out=...) is for inference; call it under no_grad()")
     x = a.data
     data = np.empty(x.shape) if out is None else out
-    th = np.empty(x.shape) if record else None
-    scratch = np.empty(min(x.size, _BLOCK_FLOATS))
+    deriv = np.empty(x.shape) if record else None
+    scratch = np.empty((2 if record else 1, min(x.size, _BLOCK_FLOATS)))
     flat_x, flat_data = x.reshape(-1), data.reshape(-1, copy=False)
     for lo in range(0, x.size, _BLOCK_FLOATS):
         hi = lo + _BLOCK_FLOATS
         xb = flat_x[lo:hi]
-        sb = scratch[:len(xb)]
-        tb = sb if th is None else th.reshape(-1)[lo:hi]
+        sb = scratch[0, :len(xb)]
+        tb = sb if deriv is None else deriv.reshape(-1)[lo:hi]
         # th = tanh(C * (x + 0.044715 * (x * x * x))); x**3 would go through pow
         np.multiply(xb, xb, out=tb)
         tb *= xb
@@ -393,25 +459,23 @@ def gelu(a, out=None) -> Tensor:
         np.tanh(tb, out=tb)
         # data = 0.5 * x * (1.0 + th)
         db = np.multiply(xb, 0.5, out=flat_data[lo:hi])
-        db *= np.add(tb, 1.0, out=sb)
+        np.add(tb, 1.0, out=sb)
+        if deriv is not None:
+            # deriv = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du,
+            # du = C * (1.0 + 3 * 0.044715 * (x * x)); db holds 0.5 * x
+            du = np.multiply(xb, xb, out=scratch[1, :len(xb)])
+            du *= 3 * 0.044715
+            du += 1.0
+            du *= _GELU_C
+            np.multiply(tb, tb, out=tb)
+            np.subtract(1.0, tb, out=tb)
+            tb *= db
+            tb *= du
+            tb += np.multiply(sb, 0.5, out=du)
+        db *= sb
 
     def backward(grad):
-        # grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),
-        # du = C * (1.0 + 3 * 0.044715 * (x * x))
-        du = np.multiply(x, x)
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= _GELU_C
-        tail = np.multiply(th, th)
-        np.subtract(1.0, tail, out=tail)
-        local = np.multiply(x, 0.5)
-        tail *= local
-        tail *= du
-        np.add(th, 1.0, out=local)
-        local *= 0.5
-        local += tail
-        local *= grad
-        a._accumulate(local)
+        a._accumulate(np.multiply(grad, deriv))
 
     return _make(data, (a,), backward)
 
@@ -421,35 +485,32 @@ _LN_EPS = 1e-5
 
 def layer_norm(a, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (the variance
-    guarded by _LN_EPS), then affine."""
+    guarded by _LN_EPS), then affine.  Row sums go through ``_row_sums`` and
+    ``_row_dots``."""
     a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
     x = a.data
     d = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    data = np.square(xhat)
-    var = data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = x - _row_sums(x) / d
+    inv = 1.0 / np.sqrt(_row_dots(xhat, xhat) / d + _LN_EPS)
     xhat *= inv
-    data = np.multiply(xhat, gain.data, out=data)
+    data = np.multiply(xhat, gain.data)
     data += bias.data
 
     def backward(grad):
+        grad_xhat = np.multiply(grad, xhat)
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(grad * xhat, gain.data.shape))
+            gain._accumulate(_unbroadcast(grad_xhat, gain.data.shape))
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(grad, bias.data.shape))
         if a.requires_grad:
-            # (inv / d) * (d * dxhat - gsum - xhat * gdot), dxhat = grad * gain
-            dxhat = grad * gain.data
-            gsum = dxhat.sum(axis=-1, keepdims=True)
-            scratch = dxhat * xhat
-            gdot = scratch.sum(axis=-1, keepdims=True)
-            dxhat *= d
-            dxhat -= gsum
-            dxhat -= np.multiply(xhat, gdot, out=scratch)
-            dxhat *= inv / d
-            a._accumulate(dxhat)
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = grad * gain,
+            # each mean a row dot with gain / d
+            per_d = gain.data / d
+            dx = np.multiply(grad, gain.data)
+            dx -= _row_dots(grad, per_d)
+            dx -= xhat * _row_dots(grad_xhat, per_d)
+            dx *= inv
+            a._accumulate(dx)
 
     return _make(data, (a, gain, bias), backward)
 

@@ -228,7 +228,7 @@ class TestRunBer:
         # hidden layer of 4 * 32, and its 192 * 192 attention scores the
         # feed-forward layer over 192 tokens
         ldpc = regular_ldpc(128, 3, 6, seed=0)
-        mlp, attention = (DenoiserModel.create(ldpc, ArchConfig(backbone, 32, 1))
+        mlp, attention = (DenoiserModel.create(ldpc, ArchConfig(backbone, 32, 1), seed=0)
                           for backbone in ("mlp", "masked_attention"))
         assert width("ddecc", mlp, code=ldpc, gen=None) == mlp.widest_activation == 192
         assert width("ddecc", attention, code=ldpc, gen=None) == 192 * 192

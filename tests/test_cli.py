@@ -289,7 +289,7 @@ class TestDecodeCli:
     def test_v1_checkpoint_is_rejected_naming_its_version(self, tmp_path, capsys):
         rep31 = builtin_code("rep31")
         ckpt = tmp_path / "v1.ckpt"
-        save_checkpoint(DenoiserModel.create(rep31, ArchConfig("mlp", 8, 1)),
+        save_checkpoint(DenoiserModel.create(rep31, ArchConfig("mlp", 8, 1), seed=0),
                         NoiseSchedule.constant(0.3, 2), ckpt, {"code": "rep31"})
         body = bytearray(ckpt.read_bytes()[:-4])
         body[8:12] = struct.pack("<I", 1)  # the version word follows the 8-byte magic

@@ -13,7 +13,7 @@ from diffdec.channel import bpsk
 from diffdec.gf2 import (AlistFormatError, ParityCheckMatrix, RankDeficiencyError, builtin_code,
                          encode_batch, hard_decision, load_alist, ml_decode_batch,
                          syndrome_weights, systematic_generator, to_alist)
-from oracles import HAMMING74_ALIST, codes, pseudo_ldpc_49_24
+from oracles import HAMMING74_ALIST, codes, pseudo_ldpc_49_24, regular_ldpc
 
 
 class TestAlist:
@@ -183,6 +183,21 @@ class TestEncode:
         book = ham74_gen.codebook()
         assert len(np.unique(book, axis=0)) == 16
         assert not ham74.syndrome_bits(book).any()
+
+    def test_ldpc128_and_a_k16_codebook_equal_matmul_mod_two(self):
+        # the float64 product counts up to 64 ones per code bit on a (128, 64) code
+        # and 16 over a k = 16 codebook, exactly, so its low bit is the parity
+        G = systematic_generator(regular_ldpc(128, 3, 6, seed=0))
+        msgs = np.random.default_rng(55).integers(0, 2, (512, G.k), dtype=np.uint8)
+        msgs[0] = 1  # every message bit set
+        cases = [(G, msgs, encode_batch(G, msgs))]
+        A = np.random.default_rng(56).integers(0, 2, (4, 16), dtype=np.uint8)
+        G = systematic_generator(ParityCheckMatrix(np.hstack([A, np.eye(4, dtype=np.uint8)])))
+        every = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
+        cases.append((G, every, G.codebook()))
+        for G, msgs, got in cases:
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, (msgs.astype(np.int64) @ G.matrix) % 2)
 
     def test_length_mismatch(self, ham74_gen):
         for msgs in ([[1, 0]], [1, 0, 1, 1]):  # a short message; one message, not a batch

@@ -40,6 +40,14 @@ DENOISE_CASES = (
     + [("masked_attention", code, 2, 4, "64") for code in DENOISE_CODES])
 
 
+def _row_sums(x):
+    return np.einsum("...i->...", x)[..., None]
+
+
+def _row_dots(x, y):
+    return np.einsum("...i,...i->...", x, y)[..., None]
+
+
 def _gelu_reference(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))))
 
@@ -77,10 +85,9 @@ def _dense_attention_logits(model, feats, e):
     for i in range(model.arch.layers):
         pre = f"blocks.{i}."
         h = T.layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        q, k, v = (T.matmul(h, p[pre + w]) for w in ("wq", "wk", "wv"))
-        weights = T.attention_weights(q, k, 1.0 / np.sqrt(model.arch.embed_dim),
-                                      np.where(model.mask, 0.0, -np.inf))
-        x = T.add(x, T.matmul(T.matmul(weights, v), p[pre + "wo"]))
+        att = T.attention(h, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"],
+                          1.0 / np.sqrt(model.arch.embed_dim), np.where(model.mask, 0.0, -np.inf))
+        x = T.add(x, T.matmul(att, p[pre + "wo"]))
         h2 = T.layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         f = T.gelu(T.linear(h2, p[pre + "ffn1.weight"], p[pre + "ffn1.bias"]))
         x = T.add(x, T.linear(f, p[pre + "ffn2.weight"], p[pre + "ffn2.bias"]))
@@ -253,17 +260,24 @@ class TestBitTokenForward:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_last_block_products_have_one_row_per_bit(self, ham74, monkeypatch, layers):
         model, feats, e = self._model_and_batch(ham74, layers, seed=63)
-        operands = []
-        matmul = T.matmul
+        names = {id(p): name for name, p in model.params.items()}
+        rows = {}  # weight name -> the (batch, token) rows it multiplies
+        matmul, attention = T.matmul, T.attention
 
         def recording_matmul(a, b):
-            operands.append((b, np.shape(a.data if isinstance(a, Tensor) else a)))
+            if id(b) in names:
+                rows[names[id(b)]] = np.shape(a.data if isinstance(a, Tensor) else a)[:-1]
             return matmul(a, b)
 
+        def recording_attention(h, wq, wk, wv, scale, bias):
+            out = attention(h, wq, wk, wv, scale, bias)
+            rows[names[id(wq)]] = out.data.shape[:-1]  # one output row per query
+            rows[names[id(wk)]] = rows[names[id(wv)]] = h.data.shape[:-1]
+            return out
+
         monkeypatch.setattr(T, "matmul", recording_matmul)
+        monkeypatch.setattr(T, "attention", recording_attention)
         model.forward(feats, e)
-        names = {id(p): name for name, p in model.params.items()}
-        rows = {names[id(b)]: shape[:-1] for b, shape in operands if id(b) in names}
         n, s, last = ham74.n, 2 * ham74.n - ham74.k, f"blocks.{layers - 1}."
         for w in ("wq", "wo", "ffn1.weight", "ffn2.weight"):
             assert rows[last + w] == (len(feats), n), w
@@ -421,12 +435,12 @@ class TestInPlaceOps:
         x, probe = self._inputs((6, 5, 8))
         x[..., 1] = -np.inf  # a masked position
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-        s = e / e.sum(axis=-1, keepdims=True)
+        s = e / _row_sums(e)
         t = Tensor(x, requires_grad=True)
         out = T.softmax_last(t)
         assert np.array_equal(out.data, s)
         _loss_of(out, probe).backward()
-        assert np.array_equal(t.grad, s * (probe - (probe * s).sum(axis=-1, keepdims=True)))
+        assert np.array_equal(t.grad, s * (probe - _row_dots(probe, s)))
 
     def test_layer_norm_forward_and_backward(self):
         d = 12  # not a power of two, so that every division by d rounds
@@ -434,19 +448,34 @@ class TestInPlaceOps:
         rng = np.random.default_rng(45)
         gain = Tensor(rng.normal(size=d), requires_grad=True)
         bias = Tensor(rng.normal(size=d), requires_grad=True)
-        xc = x - x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + 1e-5)
+        xc = x - _row_sums(x) / d
+        inv = 1.0 / np.sqrt(_row_dots(xc, xc) / d + 1e-5)
         xhat = xc * inv
         t = Tensor(x, requires_grad=True)
         out = T.layer_norm(t, gain, bias)
         assert np.array_equal(out.data, xhat * gain.data + bias.data)
         _loss_of(out, probe).backward()
-        dxhat = probe * gain.data
-        gsum = dxhat.sum(axis=-1, keepdims=True)
-        gdot = (dxhat * xhat).sum(axis=-1, keepdims=True)
-        assert np.array_equal(t.grad, (inv / d) * (d * dxhat - gsum - xhat * gdot))
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = probe * gain
+        mean_dxhat = _row_dots(probe, gain.data / d)
+        mean_dot = _row_dots(probe * xhat, gain.data / d)
+        assert np.array_equal(t.grad, (probe * gain.data - mean_dxhat - xhat * mean_dot) * inv)
         for p, want in ((gain, (probe * xhat).sum(axis=(0, 1))), (bias, probe.sum(axis=(0, 1)))):
             assert np.abs(p.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [12, 32])
+    def test_each_row_of_a_batch_equals_its_one_row_call(self, d):
+        # softmax and layer norm sum each row on its own: a word's logits do
+        # not depend on the batch it is decoded or trained in
+        x, probe = self._inputs((64, 10, d))
+        rng = np.random.default_rng(54)
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        for op in (lambda t: T.softmax_last(t, 0.5), lambda t: T.layer_norm(t, gain, bias)):
+            out, (grad,) = _forward_and_grads(op, [x], probe)
+            for b, j in np.ndindex(x.shape[:2]):
+                row, (row_grad,) = _forward_and_grads(op, [x[b:b + 1, j:j + 1]],
+                                                      probe[b:b + 1, j:j + 1])
+                assert np.array_equal(row[0, 0], out[b, j]), (b, j)
+                assert np.array_equal(row_grad[0, 0], grad[b, j]), (b, j)
 
 
 def _forward_and_grads(build, arrays, probe):
@@ -510,15 +539,6 @@ class TestFusedOps:
             arrays, rng.normal(size=(9, 3)), constants=(order, bounds))
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
-    def test_attention_weights_equal_matmul_mul_add_softmax(self, lead):
-        arrays, mask, probe = _attention_case(lead)
-        self._assert_same_as_chain(
-            lambda q, k: T.attention_weights(q, k, self.SCALE, mask),
-            lambda q, k: T.softmax_last(T.add(T.mul(T.matmul(q, T.swap_last_axes(k)),
-                                                    self.SCALE), mask)),
-            arrays, probe, constants=(mask,))
-
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
     def test_scaled_masked_softmax_equals_mul_add_softmax(self, lead):
         (scores, _), mask, probe = _attention_case(lead, d=6)
         self._assert_same_as_chain(
@@ -526,13 +546,68 @@ class TestFusedOps:
             lambda a: T.softmax_last(T.add(T.mul(a, self.SCALE), mask)),
             [scores], probe, constants=(mask,))
 
+
+def _swap_last_axes(a: Tensor) -> Tensor:
+    """a^T over the last two axes as a graph op, for the reference chain's k^T."""
+    return T._make(a.data.swapaxes(-1, -2), (a,),
+                   lambda grad: a._accumulate(grad.swapaxes(-1, -2)))
+
+
+def _unfused_attention(h, wq, wk, wv, scale, bias):
+    """The chain of plain ops the attention node replaces: the first len(bias)
+    tokens query, every token is a key and a value."""
+    queries = T.slice_leading(h, len(bias)) if len(bias) < h.data.shape[1] else h
+    scores = T.matmul(T.matmul(queries, wq), _swap_last_axes(T.matmul(h, wk)))
+    return T.matmul(T.softmax_last(scores, scale, bias), T.matmul(h, wv))
+
+
+class TestAttention:
+    SCALE = 0.5
+
+    @staticmethod
+    def _case(queries, b=3, s=6, d=4):
+        rng = np.random.default_rng(46)
+        arrays = [rng.normal(0, 2, (b, s, d))] + [rng.normal(size=(d, d)) for _ in range(3)]
+        allow = rng.random((s, s)) < 0.5
+        np.fill_diagonal(allow, True)  # every row keeps a partner, as in attention_mask
+        return arrays, np.where(allow, 0.0, -np.inf)[:queries], rng.normal(size=(b, queries, d))
+
+    @pytest.mark.parametrize("queries", [6, 4], ids=["every-token", "first-tokens"])
+    def test_equals_the_unfused_chain(self, queries):
+        arrays, mask, probe = self._case(queries)
+        before = [a.tobytes() for a in (*arrays, mask)]
+        want, want_grads = _forward_and_grads(
+            lambda *t: _unfused_attention(*t, self.SCALE, mask), arrays, probe)
+        got, got_grads = _forward_and_grads(
+            lambda *t: T.attention(*t, self.SCALE, mask), arrays, probe)
+        assert got.shape == probe.shape and np.array_equal(got, want)
+        # h's gradient adds the q, k and v paths inside one product: equal to rounding
+        for g, w in zip(got_grads, want_grads, strict=True):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        with T.no_grad():
+            out = T.attention(*(Tensor(a, requires_grad=True) for a in arrays), self.SCALE, mask)
+        assert not out.requires_grad and np.array_equal(out.data, want)
+        assert [a.tobytes() for a in (*arrays, mask)] == before
+
     def test_masked_pairs_get_zero_weight_and_zero_gradient(self):
-        arrays, mask, probe = _attention_case((3,))
-        weights, (gq, gk) = _forward_and_grads(
-            lambda q, k: T.attention_weights(q, k, self.SCALE, mask), arrays, probe)
-        assert not weights[..., mask == -np.inf].any()
-        assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
-        assert np.isfinite(gq).all() and np.isfinite(gk).all()
+        (h, *weights), mask, probe = self._case(6)
+        out = T.attention(h, *weights, self.SCALE, mask).data
+        checked = 0
+        for i, row in enumerate(mask):
+            blocked = row == -np.inf
+            if not blocked.any():
+                continue
+            moved = h.copy()
+            moved[:, blocked] += 1.0  # the tokens query i may not see
+            assert np.array_equal(T.attention(moved, *weights, self.SCALE, mask).data[:, i],
+                                  out[:, i])
+            only_i = np.zeros_like(probe)
+            only_i[:, i] = probe[:, i]
+            _, (grad_h, *_) = _forward_and_grads(
+                lambda *t: T.attention(*t, self.SCALE, mask), [h, *weights], only_i)
+            assert not grad_h[:, blocked].any() and grad_h[:, ~blocked].all()
+            checked += 1
+        assert checked > 2
 
 
 class TestGraphRelease:
@@ -558,7 +633,8 @@ class TestGraphRelease:
         # Hamming(7,4), d = 32, 2 layers, batch 128: 29.4 MiB while backward kept
         # every interior gradient and the bias, scale and mask adds had arrays of
         # their own; 20.7 MiB without them; 17.4 MiB once the last block carried
-        # the bit tokens alone
+        # the bit tokens alone; 15.7 MiB with one attention node per block, whose
+        # q, k and v share one array and whose gradients share another
         model = DenoiserModel.create(
             ham74, ArchConfig("masked_attention", embed_dim=32, layers=2), seed=0)
         schedule = NoiseSchedule.constant(0.25, 3)
@@ -570,7 +646,7 @@ class TestGraphRelease:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 19 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 16.5 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBce:
@@ -756,6 +832,33 @@ class TestAdam:
         p.grad = np.zeros(4)
         Adam({"p": p}).step(lr=0.1)
         assert np.array_equal(p.data, np.ones(4))
+
+    def test_flat_steps_equal_the_per_parameter_rule(self):
+        rng = np.random.default_rng(53)
+        # "big" puts the flat vector over more than one block of a step
+        shapes = {"w": (4, 3), "b": (3,), "t": (2, 3, 2), "big": (3, _BLOCK_FLOATS // 2),
+                  "s": (1,)}
+        params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        # each parameter's value and moments, stepped by the plain formulas
+        ref = {name: (p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
+               for name, p in params.items()}
+        opt = Adam(params)
+        for t in range(1, 6):
+            lr = 1e-2 / t
+            for name, p in params.items():
+                # "s" has no gradient in steps 3 and 4: its value and moments rest
+                idle = name == "s" and t in (3, 4)
+                p.grad = None if idle else rng.normal(size=p.data.shape[::-1]).T  # strided
+            opt.step(lr)
+            for name, p in params.items():
+                value, m, v = ref[name]
+                if p.grad is not None:
+                    g = p.grad
+                    m[...] = 0.9 * m + (1 - 0.9) * g
+                    v[...] = 0.999 * v + (1 - 0.999) * g * g
+                    value -= lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+                assert np.array_equal(p.data, value), (name, t)
 
     def test_seeded_training_is_reproducible(self, rep31):
         from diffdec.training import training_step
