@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .gf2 import Codeword
+from .gf2 import Codeword, as_bits
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -46,8 +46,8 @@ class EbN0Point:
 
 
 def bpsk(x) -> np.ndarray:
-    """Modulate bits to +-1: bit 0 -> +1, bit 1 -> -1."""
-    bits = x.bits if isinstance(x, Codeword) else np.asarray(x, dtype=np.uint8)
+    """Modulate bits to +-1: bit 0 -> +1, bit 1 -> -1; any other entry is refused."""
+    bits = x.bits if isinstance(x, Codeword) else as_bits(x)
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 

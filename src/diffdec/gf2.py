@@ -33,14 +33,22 @@ class RankDeficiencyError(ValueError):
     """Raised when a parity-check matrix does not have full row rank."""
 
 
+def as_bits(values, what: str = "bits") -> np.ndarray:
+    """``values`` as uint8 (not copied if they are), each entry checked to be 0
+    or 1 before the cast, which would truncate 0.5 to 0 and wrap 257 to 1."""
+    raw = np.asarray(values)
+    # on uint8, which encode_batch returns, one max pass is enough
+    ok = raw.max(initial=0) <= 1 if raw.dtype == np.uint8 else np.isin(raw, (0, 1)).all()
+    if not ok:
+        raise ValueError(f"{what} must be 0 or 1")
+    return raw.astype(np.uint8, copy=False)
+
+
 def _as_bit_matrix(rows) -> np.ndarray:
     raw = np.asarray(rows)
     if raw.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {raw.shape}")
-    # checked before the cast, which would truncate 0.5 to 0 and wrap 257 to 1
-    if not np.isin(raw, (0, 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    return raw.astype(np.uint8)
+    return as_bits(raw, "matrix entries").copy()  # frozen later; the caller's stays writable
 
 
 def _eliminate(mat: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
@@ -131,7 +139,7 @@ class Codeword:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        bits = np.ascontiguousarray(as_bits(self.bits, "codeword bits"))
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 

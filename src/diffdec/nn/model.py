@@ -216,7 +216,7 @@ class DenoiserModel:
             for name in tail[:self.arch.layers]:  # none when the first layer is the head
                 # a product no graph reads takes its GELU in place
                 out = None if logits.requires_grad else logits.data
-                logits = T.linear(T.gelu(logits, out=out), self.params[name + ".weight"],
+                logits = T.matmul(T.gelu(logits, out=out), self.params[name + ".weight"],
                                   self.params[name + ".bias"])
         else:
             emb = T.mul(T.reshape(feats, (b, s, 1)), self.params["embed.weight"])
@@ -235,13 +235,15 @@ class DenoiserModel:
                                   scale, self._mask_bias[:x.data.shape[1]])
                 x = T.add(x, T.matmul(att, self.params[pre + "wo"]))
                 h2 = T.layer_norm(x, self.params[pre + "ln2.gain"], self.params[pre + "ln2.bias"])
-                f = T.gelu(T.linear(h2, self.params[pre + "ffn1.weight"],
+                f = T.gelu(T.matmul(h2, self.params[pre + "ffn1.weight"],
                                     self.params[pre + "ffn1.bias"]))
-                x = T.add(x, T.linear(f, self.params[pre + "ffn2.weight"],
+                x = T.add(x, T.matmul(f, self.params[pre + "ffn2.weight"],
                                       self.params[pre + "ffn2.bias"]))
             x = T.layer_norm(x, self.params["final_ln.gain"], self.params["final_ln.bias"])
-            logits = T.linear(x, self.params["head.weight"], self.params["head.bias"],
-                              shape=(b, self.n))
+            # the bias goes on after the reshape: inside matmul, the (1,) bias would sum
+            # its gradient over (B, n, 1), in another order
+            logits = T.add(T.reshape(T.matmul(x, self.params["head.weight"]), (b, self.n)),
+                           self.params["head.bias"])
         return T.reshape(logits, (-1,)) if single else logits
 
     def denoise(self, Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ themselves:
   ``gelu``'s forward goes over flat blocks of ``_BLOCK_FLOATS`` floats and,
   while a graph is recorded, computes its derivative there too, into an
   array the backward then multiplies by once;
-* ``linear`` and ``grouped_matmul`` with a bias add it into the fresh
-  product, so the graph holds one array for ``x @ w + b``;
+* ``matmul`` and ``grouped_matmul`` with a bias add it into the fresh
+  product and take its gradient in their own backward, so ``x @ w + b``
+  is one node holding one array;
 * ``softmax_last`` applies an optional scale and constant bias in the array
   it computes the weights in;
 * ``attention`` is one node for a block's masked self-attention: one
@@ -41,10 +42,10 @@ paths inside one product, so its gradients match the chain's to rounding.
 ``_unbroadcast`` also sums leading axes through ``einsum``, with ``sum``'s
 bits.
 
-Only the ops the denoiser needs are provided (broadcasted add/mul, matmul,
-a linear layer, a matmul with one table per group of rows, reshape, row
-gather, softmax, masked attention, gelu, layer norm, stable
-BCE-with-logits).
+Only the ops the denoiser needs are provided (broadcasted add/mul, matmul
+with an optional bias, a matmul with one table per group of rows and an
+optional bias, reshape, row gather, softmax, masked attention, gelu, layer
+norm, stable BCE-with-logits).
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, or a @ b + bias with the bias added into the fresh product, so
+    the graph holds one array and one node for a dense layer."""
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul expects operands with ndim >= 2")
@@ -201,6 +204,9 @@ def matmul(a, b) -> Tensor:
         data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
     else:
         data = a.data @ b.data
+    if bias is not None:
+        bias = _wrap(bias)
+        data += bias.data
 
     def backward(grad):
         if a.requires_grad:
@@ -215,35 +221,10 @@ def matmul(a, b) -> Tensor:
             else:
                 gb = a.data.swapaxes(-1, -2) @ grad
                 b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def _add_bias(product: Tensor, bias) -> Tensor:
-    """product + bias, added in place into ``product.data``.
-
-    Only for a product this module has just made: its array is fresh, and
-    the backward of the op that made it reads that op's operands, never its
-    output.  The graph then holds one array where an ``add`` held two."""
-    bias = _wrap(bias)
-    data = np.add(product.data, bias.data, out=product.data)
-
-    def backward(grad):
-        if product.requires_grad:
-            product._accumulate(grad)
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             bias._accumulate(_unbroadcast(grad, bias.data.shape))
 
-    return _make(data, (product, bias), backward)
-
-
-def linear(x, weight, bias, shape=None) -> Tensor:
-    """x @ weight + bias, or reshape(x @ weight, shape) + bias.
-
-    The product goes through ``matmul``; the bias is then added into the
-    product's own array (see ``_add_bias``)."""
-    product = matmul(x, weight)
-    return _add_bias(product if shape is None else reshape(product, shape), bias)
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def grouped_matmul(x, order, bounds, tables, bias=None) -> Tensor:
@@ -254,13 +235,16 @@ def grouped_matmul(x, order, bounds, tables, bias=None) -> Tensor:
     the groups in it, as a stable sort of the rows by group gives them.  The
     rows of each group go through one product with their own table, so a
     row costs s*w multiply-adds however many groups there are.  A bias is
-    added into the product's own array (see ``_add_bias``)."""
+    added into the fresh product, as in ``matmul``."""
     x, tables = _wrap(x), _wrap(tables)
     parts = [(g, order[lo:hi], x.data[order[lo:hi]])
              for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
     data = np.empty((len(order), tables.data.shape[2]))
     for g, rows, xg in parts:
         data[rows] = xg @ tables.data[:, g]
+    if bias is not None:
+        bias = _wrap(bias)
+        data += bias.data
 
     def backward(grad):
         if tables.requires_grad:
@@ -273,9 +257,10 @@ def grouped_matmul(x, order, bounds, tables, bias=None) -> Tensor:
             for g, rows, _ in parts:
                 gx[rows] = grad[rows] @ tables.data[:, g].T
             x._accumulate(gx)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.data.shape))
 
-    product = _make(data, (x, tables), backward)
-    return product if bias is None else _add_bias(product, bias)
+    return _make(data, (x, tables) if bias is None else (x, tables, bias), backward)
 
 
 def reshape(a, shape) -> Tensor:

@@ -45,6 +45,9 @@ class TrainConfig:
         check_integer(seed=self.seed)
         if not (np.isfinite(self.lr_min) and self.lr_min >= 0):
             raise ValueError(f"lr_min must be a finite number >= 0, got {self.lr_min}")
+        if self.lr_min > self.lr0:  # the cosine schedule would raise the rate, not decay it
+            raise ValueError(f"lr_min must not exceed lr0, got lr_min {self.lr_min} > "
+                             f"lr0 {self.lr0}")
         self.arch  # ArchConfig rejects a bad architecture here, not in train()
 
     @property

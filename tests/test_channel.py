@@ -16,6 +16,20 @@ class TestBpsk:
         for cw in ham74_gen.codebook():
             assert np.array_equal(hard_decision(bpsk(Codeword(cw))), cw)
 
+    @pytest.mark.parametrize("word", [[0.7, 2, 1, 0], [0.0, 1.0, 0.5, 1.0], [0, 2, 1, 0],
+                                      [0, -1, 1, 0], np.array([0, 1, 255], dtype=np.uint8)],
+                             ids=["mixed", "fraction", "two", "negative", "uint8-255"])
+    def test_only_bits_are_modulated(self, word):
+        # a cast to uint8 would read 0.7 as 0, 2 as a bit that maps to -3, and -1 as 255
+        with pytest.raises(ValueError, match="0 or 1"):
+            bpsk(np.asarray(word))
+        with pytest.raises(ValueError, match="0 or 1"):
+            awgn_batch(np.asarray(word)[None, :], 0.5, make_rng(0))
+
+    def test_a_codeword_holds_only_bits(self):
+        with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
+            Codeword(np.full(4, 2))
+
 
 class TestEbn0:
     def test_rate_half_4db(self):

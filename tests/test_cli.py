@@ -179,6 +179,19 @@ class TestTrainCli:
         assert errors[0] == errors[1]
         assert errors[0] == "error: lr0 must be a positive finite number, got -0.001\n"
 
+    def test_lr_min_above_lr0_reported(self, tmp_path, capsys):
+        # the default lr_min (5e-6) is above this lr0, so --lr-min has to come down with it
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--code", "rep31", "--epochs", "1", "--lr0", "1e-6",
+                     "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == ("error: lr_min must not exceed lr0, "
+                                           "got lr_min 5e-06 > lr0 1e-06\n")
+        assert not ckpt.exists()
+        assert main(["train", "--code", "rep31", "--epochs", "1", "--batches-per-epoch", "1",
+                     "--batch-size", "4", "--embed-dim", "4", "--layers", "1",
+                     "--lr0", "1e-6", "--lr-min", "1e-7",
+                     "--out", str(ckpt), "--report", str(tmp_path / "r.csv")]) == 0
+
     def test_negative_seed_trains(self, tmp_path, capsys):
         # the initial weights once came from Philox(key=seed), which rejects a negative key
         assert main(["train", "--code", "rep31", "--epochs", "1", "--batches-per-epoch", "2",

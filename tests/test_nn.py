@@ -89,11 +89,11 @@ def _dense_attention_logits(model, feats, e):
                           1.0 / np.sqrt(model.arch.embed_dim), np.where(model.mask, 0.0, -np.inf))
         x = T.add(x, T.matmul(att, p[pre + "wo"]))
         h2 = T.layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-        f = T.gelu(T.linear(h2, p[pre + "ffn1.weight"], p[pre + "ffn1.bias"]))
-        x = T.add(x, T.linear(f, p[pre + "ffn2.weight"], p[pre + "ffn2.bias"]))
+        f = T.gelu(T.matmul(h2, p[pre + "ffn1.weight"], p[pre + "ffn1.bias"]))
+        x = T.add(x, T.matmul(f, p[pre + "ffn2.weight"], p[pre + "ffn2.bias"]))
     x = T.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
-    return T.linear(T.slice_leading(x, model.n), p["head.weight"], p["head.bias"],
-                    shape=(b, model.n)).data
+    head = T.matmul(T.slice_leading(x, model.n), p["head.weight"])
+    return T.add(T.reshape(head, (b, model.n)), p["head.bias"]).data
 
 
 def _random_case(H, rng):
@@ -264,10 +264,10 @@ class TestBitTokenForward:
         rows = {}  # weight name -> the (batch, token) rows it multiplies
         matmul, attention = T.matmul, T.attention
 
-        def recording_matmul(a, b):
+        def recording_matmul(a, b, *rest):
             if id(b) in names:
                 rows[names[id(b)]] = np.shape(a.data if isinstance(a, Tensor) else a)[:-1]
-            return matmul(a, b)
+            return matmul(a, b, *rest)
 
         def recording_attention(h, wq, wk, wv, scale, bias):
             out = attention(h, wq, wk, wv, scale, bias)
@@ -514,20 +514,19 @@ class TestFusedOps:
         assert [a.tobytes() for a in (*arrays, *constants)] == before
 
     @pytest.mark.parametrize("lead", [(), (4,)], ids=["2d", "3d"])
-    def test_linear_equals_matmul_then_add(self, lead):
+    def test_matmul_with_bias_equals_matmul_then_add(self, lead):
         rng = np.random.default_rng(47)
         arrays = [rng.normal(size=lead + (6, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)]
-        self._assert_same_as_chain(T.linear, lambda x, w, b: T.add(T.matmul(x, w), b),
+        self._assert_same_as_chain(T.matmul, lambda x, w, b: T.add(T.matmul(x, w), b),
                                    arrays, rng.normal(size=lead + (6, 3)))
 
-    def test_linear_with_a_shape_equals_matmul_reshape_then_add(self):
-        # the attention head: a (B, n, 1) product read as (B, n) logits, one shared bias
+    def test_matmul_with_bias_is_one_node_over_its_three_operands(self):
         rng = np.random.default_rng(48)
-        arrays = [rng.normal(size=(5, 7, 4)), rng.normal(size=(4, 1)), rng.normal(size=1)]
-        self._assert_same_as_chain(
-            lambda x, w, b: T.linear(x, w, b, shape=(5, 7)),
-            lambda x, w, b: T.add(T.reshape(T.matmul(x, w), (5, 7)), b),
-            arrays, rng.normal(size=(5, 7)))
+        x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in ((6, 5), (5, 3), (3,)))
+        out = T.matmul(x, w, b)
+        assert out._parents == (x, w, b)
+        assert all(not p._parents for p in out._parents)
 
     def test_grouped_matmul_with_bias_equals_grouped_matmul_then_add(self):
         rng = np.random.default_rng(49)
@@ -615,7 +614,7 @@ class TestGraphRelease:
         rng = np.random.default_rng(50)
         x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
                    for shape in ((4, 6, 5), (5, 3), (3,)))
-        h = T.linear(x, w, b)
+        h = T.matmul(x, w, b)
         g = T.gelu(h)
         loss = _loss_of(g, rng.normal(size=(4, 6, 3)))
         loss.backward()

@@ -71,6 +71,15 @@ class TestTrainConfig:
     def test_zero_lr_min_accepted(self):
         assert TrainConfig(lr_min=0.0).lr_min == 0.0
 
+    def test_lr_min_above_lr0_rejected_at_construction(self):
+        # cosine_lr would carry the rate up from lr0 to lr_min over the run
+        with pytest.raises(ValueError, match=r"lr_min 0\.01 > lr0 0\.0001"):
+            TrainConfig(lr0=1e-4, lr_min=1e-2)
+
+    def test_lr_min_equal_to_lr0_accepted(self):
+        config = TrainConfig(lr0=1e-4, lr_min=1e-4)
+        assert config.lr_min == config.lr0
+
     @pytest.mark.parametrize("field,value", [
         ("epochs", 1.5), ("epochs", -1), ("epochs", "3"),
         ("batches_per_epoch", 2.5), ("batches_per_epoch", 0), ("batches_per_epoch", -2),
