@@ -139,7 +139,7 @@ class Codeword:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(as_bits(self.bits, "codeword bits"))
+        bits = as_bits(self.bits, "codeword bits").copy()  # frozen; the caller's stays writable
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import check_count, make_rng
-from ..gf2 import ParityCheckMatrix, hard_decision, word_batch
+from ..gf2 import ParityCheckMatrix, as_bits, hard_decision, word_batch
 from . import tensor as T
 from .tensor import Tensor
 
@@ -248,8 +248,9 @@ class DenoiserModel:
 
     def denoise(self, Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
         """Inference entry point: (B, n) words and their (B, n-k) syndrome
-        bits -> flip logits, ``forward`` of their features under ``no_grad``."""
-        Y, syndrome = np.asarray(Y), np.asarray(syndrome)
+        bits (0 or 1) -> flip logits, ``forward`` of their features under
+        ``no_grad``."""
+        Y, syndrome = np.asarray(Y), as_bits(syndrome, "syndrome bits")
         if Y.ndim != 2 or Y.shape[1] != self.n or syndrome.shape != (len(Y), self.n - self.k):
             raise ValueError(f"expected (B, {self.n}) words and (B, {self.n - self.k}) "
                              f"syndrome bits, got {Y.shape} and {syndrome.shape}")

@@ -1,14 +1,27 @@
 """Minimal numpy-backed reverse-mode autodiff.
 
-Tensors wrap float64 arrays; every op that sees a grad-requiring operand
-records a closure that scatters the output gradient back to its parents.
-``backward()`` runs the closures in reverse topological order.  Graphs are
-single-use: a second backward on the same root raises.
+Tensors wrap float64 arrays.  A tensor that takes part in a graph also has
+a record (``_Record``): its gradient, its parents' records and a closure
+that scatters its gradient back to them.  Every op that sees an operand
+with a record gives its output one.  ``backward()`` runs the closures in
+reverse topological order.  Graphs are single-use: a second backward on the
+same root raises.
 
-Backward releases the graph as it goes.  Once a node's closure has run, the
-node drops its closure, its parents and its ``.grad``, so an activation or
-an interior gradient is freed as soon as no closure left to run reads it.
-Only leaves (tensors no op made, such as parameters) keep ``.grad``.
+The graph owns no tensor.  A closure keeps the arrays its backward reads
+and the shapes it needs, and reaches its parents through their records
+alone: ``matmul``, ``grouped_matmul`` and ``mul`` keep their operands,
+``gelu`` its derivative, ``layer_norm`` xhat, the inverse deviation and the
+gain, ``attention`` q|k|v, the weights, the tokens and [wq | wk | wv], and
+``add``, ``reshape``, ``slice_leading`` and ``gather_rows`` shapes only.  So
+an activation lives only while the caller holds its tensor or some closure
+reads it: the product a GELU consumes and the residual stream on both sides
+of an add are freed as soon as ``forward`` moves past them.
+
+Backward releases the graph as it goes.  Once a record's closure has run,
+the record drops its closure, its parents and its gradient, so an array a
+closure kept or an interior gradient is freed as soon as no closure left to
+run reads it.  Only leaves (tensors no op made, such as parameters) keep
+``.grad``.
 
 No op writes into an array it was handed, operand or gradient, unless the
 caller names it as ``out``.  Some write in place into arrays they allocated
@@ -74,38 +87,65 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+class _Record:
+    """A tensor's place in the graph: its gradient, its parents' records and
+    the rule that sends its gradient to them (None for a leaf)."""
+
+    __slots__ = ("grad", "parents", "backward", "consumed")
+
+    def __init__(self, parents: tuple[_Record, ...] = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+        self.consumed = False
+
+    def accumulate(self, grad: np.ndarray):
+        # ``grad`` may be shared (add hands one array to both parents, reshape
+        # a view), so it is kept as is and never added into in place.
+        self.grad = grad if self.grad is None else self.grad + grad
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    """A float64 array and, while it takes part in a graph, its ``_Record``."""
+
+    __slots__ = ("data", "_record")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-        self._consumed = False
+        self._record = _Record() if requires_grad else None
 
     @property
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None
 
-    def _accumulate(self, grad: np.ndarray):
-        # ``grad`` may be shared (add hands one array to both parents, reshape
-        # a view), so it is kept as is and never added into in place.
-        self.grad = grad if self.grad is None else self.grad + grad
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._record is None else self._record.grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None):
+        self._record.grad = grad
+
+    def zero_grad(self):
+        if self._record is not None:
+            self._record.grad = None
 
     def backward(self):
         """Reverse-mode sweep from this (scalar) tensor."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar root")
-        if self._consumed:
+        root = self._record
+        if root is None:
+            raise RuntimeError("backward() on a tensor outside any graph")
+        if root.consumed:
             raise RuntimeError("graph already consumed by a previous backward()")
-        topo: list[Tensor] = []
+        topo: list[_Record] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -115,20 +155,21 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        root.accumulate(np.ones_like(self.data))
         while topo:
             # its consumers ran first and dropped their closures, so once popped a
-            # node (data and gradient) lives only until its own closure has run
+            # node (its gradient and the arrays its closure keeps) lives only
+            # until its own closure has run
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._backward = None
-                node._parents = ()
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.backward = None
+                node.parents = ()
                 node.grad = None
-        self._consumed = True
+        root.consumed = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -138,12 +179,14 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[_Record | None, ...], backward) -> Tensor:
+    """A Tensor over ``data`` that, while a graph is recorded and some parent
+    has a record, gets a record over those parents with rule ``backward``."""
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+    if _grad_mode.enabled:
+        parents = tuple(p for p in parents if p is not None)
+        if parents:
+            out._record = _Record(parents, backward)
     return out
 
 
@@ -164,67 +207,68 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
+    ra, rb, a_shape, b_shape = a._record, b._record, a.data.shape, b.data.shape
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad, b.data.shape))
+        if ra is not None:
+            ra.accumulate(_unbroadcast(grad, a_shape))
+        if rb is not None:
+            rb.accumulate(_unbroadcast(grad, b_shape))
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (ra, rb), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
+    ra, rb, x, y = a._record, b._record, a.data, b.data
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
+        if ra is not None:
+            ra.accumulate(_unbroadcast(grad * y, x.shape))
+        if rb is not None:
+            rb.accumulate(_unbroadcast(grad * x, y.shape))
 
-    return _make(data, (a, b), backward)
+    return _make(x * y, (ra, rb), backward)
 
 
 def matmul(a, b, bias=None) -> Tensor:
     """a @ b, or a @ b + bias with the bias added into the fresh product, so
     the graph holds one array and one node for a dense layer."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    ra, rb, x, w = a._record, b._record, a.data, b.data
+    if x.ndim < 2 or w.ndim < 2:
         raise ValueError("matmul expects operands with ndim >= 2")
     # a stack of activations times one weight: every product is one GEMM over
     # all leading rows, not one per matrix of the stack (and a sum, for b's gradient)
-    stacked = b.data.ndim == 2 < a.data.ndim
-    k, n = b.data.shape[-2:]
-    if a.data.shape[-1] != k:
-        raise ValueError(f"matmul shapes {a.data.shape} and {b.data.shape} do not align")
+    stacked = w.ndim == 2 < x.ndim
+    k, n = w.shape[-2:]
+    if x.shape[-1] != k:
+        raise ValueError(f"matmul shapes {x.shape} and {w.shape} do not align")
     if stacked:
-        data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+        data = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
     else:
-        data = a.data @ b.data
+        data = x @ w
+    rbias = None
     if bias is not None:
         bias = _wrap(bias)
         data += bias.data
+        rbias, bias_shape = bias._record, bias.data.shape
 
     def backward(grad):
-        if a.requires_grad:
+        if ra is not None:
             if stacked:
-                a._accumulate((grad.reshape(-1, n) @ b.data.T).reshape(a.data.shape))
+                ra.accumulate((grad.reshape(-1, n) @ w.T).reshape(x.shape))
             else:
-                ga = grad @ b.data.swapaxes(-1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
+                ra.accumulate(_unbroadcast(grad @ w.swapaxes(-1, -2), x.shape))
+        if rb is not None:
             if stacked:
-                b._accumulate(a.data.reshape(-1, k).T @ grad.reshape(-1, n))
+                rb.accumulate(x.reshape(-1, k).T @ grad.reshape(-1, n))
             else:
-                gb = a.data.swapaxes(-1, -2) @ grad
-                b._accumulate(_unbroadcast(gb, b.data.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(grad, bias.data.shape))
+                rb.accumulate(_unbroadcast(x.swapaxes(-1, -2) @ grad, w.shape))
+        if rbias is not None:
+            rbias.accumulate(_unbroadcast(grad, bias_shape))
 
-    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
+    return _make(data, (ra, rb, rbias), backward)
 
 
 def grouped_matmul(x, order, bounds, tables, bias=None) -> Tensor:
@@ -237,68 +281,70 @@ def grouped_matmul(x, order, bounds, tables, bias=None) -> Tensor:
     row costs s*w multiply-adds however many groups there are.  A bias is
     added into the fresh product, as in ``matmul``."""
     x, tables = _wrap(x), _wrap(tables)
+    rx, rt, x_shape, t = x._record, tables._record, x.data.shape, tables.data
     parts = [(g, order[lo:hi], x.data[order[lo:hi]])
              for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    data = np.empty((len(order), tables.data.shape[2]))
+    data = np.empty((len(order), t.shape[2]))
     for g, rows, xg in parts:
-        data[rows] = xg @ tables.data[:, g]
+        data[rows] = xg @ t[:, g]
+    rbias = None
     if bias is not None:
         bias = _wrap(bias)
         data += bias.data
+        rbias, bias_shape = bias._record, bias.data.shape
 
     def backward(grad):
-        if tables.requires_grad:
-            full = np.zeros_like(tables.data)
+        if rt is not None:
+            full = np.zeros(t.shape)
             for g, rows, xg in parts:
                 full[:, g] = xg.T @ grad[rows]
-            tables._accumulate(full)
-        if x.requires_grad:
-            gx = np.empty_like(x.data)
+            rt.accumulate(full)
+        if rx is not None:
+            gx = np.empty(x_shape)
             for g, rows, _ in parts:
-                gx[rows] = grad[rows] @ tables.data[:, g].T
-            x._accumulate(gx)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(grad, bias.data.shape))
+                gx[rows] = grad[rows] @ t[:, g].T
+            rx.accumulate(gx)
+        if rbias is not None:
+            rbias.accumulate(_unbroadcast(grad, bias_shape))
 
-    return _make(data, (x, tables) if bias is None else (x, tables, bias), backward)
+    return _make(data, (rx, rt, rbias), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
-    old = a.data.shape
-    data = a.data.reshape(shape)
+    ra, old = a._record, a.data.shape
 
     def backward(grad):
-        a._accumulate(grad.reshape(old))
+        ra.accumulate(grad.reshape(old))
 
-    return _make(data, (a,), backward)
+    return _make(a.data.reshape(shape), (ra,), backward)
 
 
 def slice_leading(a, count: int) -> Tensor:
     """Keep the first ``count`` entries along axis 1 (token readout)."""
     a = _wrap(a)
-    data = a.data[:, :count]
+    ra, old = a._record, a.data.shape
 
     def backward(grad):
-        full = np.zeros_like(a.data)
+        full = np.zeros(old)
         full[:, :count] = grad
-        a._accumulate(full)
+        ra.accumulate(full)
 
-    return _make(data, (a,), backward)
+    return _make(a.data[:, :count], (ra,), backward)
 
 
 def gather_rows(table, idx) -> Tensor:
     """out[i] = table[idx[i]]; backward scatter-adds into the table."""
     table = _wrap(table)
+    rt, old = table._record, table.data.shape
     idx = np.asarray(idx, dtype=np.int64)
-    data = table.data[idx]
 
     def backward(grad):
-        full = np.zeros_like(table.data)
+        full = np.zeros(old)
         np.add.at(full, idx, grad)
-        table._accumulate(full)
+        rt.accumulate(full)
 
-    return _make(data, (table,), backward)
+    return _make(table.data[idx], (rt,), backward)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -346,12 +392,12 @@ def softmax_last(a, scale=None, bias=None) -> Tensor:
     of ``mul``, ``add`` and the plain softmax bit for bit, and the backward
     is the softmax rule followed by ``* scale``."""
     a = _wrap(a)
-    s = _softmax(a.data, scale, bias, None)
+    ra, s = a._record, _softmax(a.data, scale, bias, None)
 
     def backward(grad):
-        a._accumulate(_softmax_grad(grad, s, scale))
+        ra.accumulate(_softmax_grad(grad, s, scale))
 
-    return _make(s, (a,), backward)
+    return _make(s, (ra,), backward)
 
 
 def attention(h, wq, wk, wv, scale, bias) -> Tensor:
@@ -367,6 +413,7 @@ def attention(h, wq, wk, wv, scale, bias) -> Tensor:
     zero past row s_q), so that h's gradient is one product with
     [wq | wk | wv]^T and the three weights' gradient one product with h^T."""
     h, wq, wk, wv = (_wrap(t) for t in (h, wq, wk, wv))
+    rh, rw = h._record, (wq._record, wk._record, wv._record)
     b, s, d = h.data.shape
     queries = bias.shape[0]
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
@@ -391,15 +438,15 @@ def attention(h, wq, wk, wv, scale, bias) -> Tensor:
         dqkv[:, queries:, :d] = 0.0
         np.matmul(dscores.swapaxes(-1, -2), q, out=dqkv[..., d:2 * d])
         dqkv = dqkv.reshape(-1, 3 * d)
-        if h.requires_grad:
-            h._accumulate((dqkv @ w.T).reshape(b, s, d))
-        if wq.requires_grad or wk.requires_grad or wv.requires_grad:
+        if rh is not None:
+            rh.accumulate((dqkv @ w.T).reshape(b, s, d))
+        if any(r is not None for r in rw):
             dw = rows.T @ dqkv
-            for i, t in enumerate((wq, wk, wv)):
-                if t.requires_grad:
-                    t._accumulate(dw[:, i * d:(i + 1) * d])
+            for i, r in enumerate(rw):
+                if r is not None:
+                    r.accumulate(dw[:, i * d:(i + 1) * d])
 
-    return _make(data, (h, wq, wk, wv), backward)
+    return _make(data, (rh, *rw), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -422,7 +469,8 @@ def gelu(a, out=None) -> Tensor:
     which is then overwritten) the forward writes there; ``out`` is for
     inference, and refused while a graph is recorded."""
     a = _wrap(a)
-    record = _grad_mode.enabled and a.requires_grad
+    ra = a._record
+    record = _grad_mode.enabled and ra is not None
     if out is not None and record:
         raise RuntimeError("gelu(out=...) is for inference; call it under no_grad()")
     x = a.data
@@ -460,9 +508,9 @@ def gelu(a, out=None) -> Tensor:
         db *= sb
 
     def backward(grad):
-        a._accumulate(np.multiply(grad, deriv))
+        ra.accumulate(np.multiply(grad, deriv))
 
-    return _make(data, (a,), backward)
+    return _make(data, (ra,), backward)
 
 
 _LN_EPS = 1e-5
@@ -473,31 +521,32 @@ def layer_norm(a, gain, bias) -> Tensor:
     guarded by _LN_EPS), then affine.  Row sums go through ``_row_sums`` and
     ``_row_dots``."""
     a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
+    ra, rg, rb, g, b_shape = a._record, gain._record, bias._record, gain.data, bias.data.shape
     x = a.data
     d = x.shape[-1]
     xhat = x - _row_sums(x) / d
     inv = 1.0 / np.sqrt(_row_dots(xhat, xhat) / d + _LN_EPS)
     xhat *= inv
-    data = np.multiply(xhat, gain.data)
+    data = np.multiply(xhat, g)
     data += bias.data
 
     def backward(grad):
         grad_xhat = np.multiply(grad, xhat)
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(grad_xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(grad, bias.data.shape))
-        if a.requires_grad:
+        if rg is not None:
+            rg.accumulate(_unbroadcast(grad_xhat, g.shape))
+        if rb is not None:
+            rb.accumulate(_unbroadcast(grad, b_shape))
+        if ra is not None:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = grad * gain,
             # each mean a row dot with gain / d
-            per_d = gain.data / d
-            dx = np.multiply(grad, gain.data)
+            per_d = g / d
+            dx = np.multiply(grad, g)
             dx -= _row_dots(grad, per_d)
             dx -= xhat * _row_dots(grad_xhat, per_d)
             dx *= inv
-            a._accumulate(dx)
+            ra.accumulate(dx)
 
-    return _make(data, (a, gain, bias), backward)
+    return _make(data, (ra, rg, rb), backward)
 
 
 def bce_with_logits_mean(logits, targets) -> Tensor:
@@ -506,6 +555,7 @@ def bce_with_logits_mean(logits, targets) -> Tensor:
     loss = mean( max(l,0) - l*z + log(1 + exp(-|l|)) )
     """
     logits = _wrap(logits)
+    rl = logits._record
     z = np.asarray(targets, dtype=np.float64)
     if z.shape != logits.data.shape:
         raise ValueError(f"target shape {z.shape} != logits shape {logits.data.shape}")
@@ -516,6 +566,6 @@ def bce_with_logits_mean(logits, targets) -> Tensor:
 
     def backward(grad):
         sig = 0.5 * (1.0 + np.tanh(0.5 * l))  # sigmoid, overflow-free
-        logits._accumulate(grad * (sig - z) / count)
+        rl.accumulate(grad * (sig - z) / count)
 
-    return _make(data, (logits,), backward)
+    return _make(data, (rl,), backward)

@@ -30,6 +30,13 @@ class TestBpsk:
         with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
             Codeword(np.full(4, 2))
 
+    def test_a_codeword_freezes_its_own_copy(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        word = Codeword(bits)
+        assert bits.flags.writeable and not word.bits.flags.writeable
+        bits[0] = 0
+        assert np.array_equal(word.bits, [1, 0, 1])
+
 
 class TestEbn0:
     def test_rate_half_4db(self):
