@@ -134,7 +134,8 @@ class ParityCheckMatrix:
 
 @dataclass(frozen=True)
 class Codeword:
-    """A length-n bit vector satisfying H x = 0 for its code."""
+    """A length-n vector of 0/1 bits, frozen.  It holds no H: whether it
+    satisfies H x = 0 is the caller's to know."""
 
     bits: np.ndarray
 
@@ -167,10 +168,7 @@ class GeneratorMatrix:
         self._codebook: np.ndarray | None = None
         if len(_eliminate(matrix)[1]) != self.k:
             raise RankDeficiencyError("generator rows are linearly dependent")
-        # G H^T = 0 checked exhaustively over every generator row; all 2^k
-        # codewords follow by linearity.
-        if ((matrix.astype(np.int64) @ H.matrix.T.astype(np.int64)) % 2).any():
-            raise ValueError("generator does not annihilate H (G H^T != 0)")
+        _check_generates(matrix, H)
 
     def codebook(self) -> np.ndarray:
         """All 2^k codewords, row i encoding message bits m_j = (i >> j) & 1."""
@@ -180,6 +178,16 @@ class GeneratorMatrix:
             self._codebook = encode_batch(self, msgs)
             self._codebook.setflags(write=False)
         return self._codebook
+
+
+def _check_generates(G: np.ndarray, H: ParityCheckMatrix) -> None:
+    """Raise unless every row of the (k, n) bit matrix ``G`` is a codeword of
+    ``H``: rows of H's length with G H^T = 0.  All 2^k codewords follow by
+    linearity."""
+    if G.shape[1] != H.n:
+        raise ValueError(f"generator of length {G.shape[1]} for a length-{H.n} code")
+    if ((G.astype(np.int64) @ H.matrix.T.astype(np.int64)) % 2).any():
+        raise ValueError("generator does not annihilate H (G H^T != 0)")
 
 
 def systematic_generator(H: ParityCheckMatrix) -> GeneratorMatrix:
@@ -237,10 +245,11 @@ def ml_decode_batch(H: ParityCheckMatrix, G: GeneratorMatrix, Y: np.ndarray) -> 
     Maximizes the correlation <y, BPSK(x)> over all 2^k codewords, which is
     the ML rule for every noise level, so no sigma is needed.  Ties break
     toward the lowest codeword index in enumeration order.  Returns (B, n)
-    bits.
+    bits.  ``G`` must generate ``H``'s code.
     """
     if G.k > 16:
         raise ValueError(f"brute-force ML limited to k <= 16, got k={G.k}")
+    _check_generates(G.matrix, H)  # a generator of another code decodes to non-codewords
     Y = word_batch(Y, H.n)
     book = G.codebook()
     signs = book.astype(np.float64)  # (2^k, n): 1 - 2 * bit, built once per call

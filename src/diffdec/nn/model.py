@@ -201,7 +201,6 @@ class DenoiserModel:
             feats = T.reshape(feats, (1, -1))
         e_arr = np.atleast_1d(np.asarray(e))
         b, s = feats.data.shape
-        d = self.arch.embed_dim
         if s != 2 * self.n - self.k:
             raise ValueError(f"expected feature length {2 * self.n - self.k}, got {s}")
         if not np.issubdtype(e_arr.dtype, np.integer):
@@ -222,7 +221,6 @@ class DenoiserModel:
             emb = T.mul(T.reshape(feats, (b, s, 1)), self.params["embed.weight"])
             psi = T.gather_rows(self.params["cond.table"], e_arr)
             x = T.mul(emb, T.reshape(psi, (b, 1, -1)))
-            scale = 1.0 / np.sqrt(d)
             layers = self.arch.layers
             if not layers:
                 x = T.slice_leading(x, self.n)
@@ -232,7 +230,7 @@ class DenoiserModel:
                 if i == layers - 1:  # the head reads the bit tokens alone: only they query
                     x = T.slice_leading(x, self.n)
                 att = T.attention(h, *(self.params[pre + w] for w in ("wq", "wk", "wv")),
-                                  scale, self._mask_bias[:x.data.shape[1]])
+                                  self._mask_bias[:x.data.shape[1]])
                 x = T.add(x, T.matmul(att, self.params[pre + "wo"]))
                 h2 = T.layer_norm(x, self.params[pre + "ln2.gain"], self.params[pre + "ln2.bias"])
                 f = T.gelu(T.matmul(h2, self.params[pre + "ffn1.weight"],
@@ -247,13 +245,14 @@ class DenoiserModel:
         return T.reshape(logits, (-1,)) if single else logits
 
     def denoise(self, Y: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
-        """Inference entry point: (B, n) words and their (B, n-k) syndrome
-        bits (0 or 1) -> flip logits, ``forward`` of their features under
-        ``no_grad``."""
+        """Inference entry point: (B, n) finite words and their (B, n-k)
+        syndrome bits (0 or 1) -> flip logits, ``forward`` of their features
+        under ``no_grad``."""
         Y, syndrome = np.asarray(Y), as_bits(syndrome, "syndrome bits")
         if Y.ndim != 2 or Y.shape[1] != self.n or syndrome.shape != (len(Y), self.n - self.k):
             raise ValueError(f"expected (B, {self.n}) words and (B, {self.n - self.k}) "
                              f"syndrome bits, got {Y.shape} and {syndrome.shape}")
+        Y = word_batch(Y, self.n)  # refuses inf and nan, which would give NaN logits
         with T.no_grad():
             return self.forward(*syndrome_features(Y, syndrome)).data
 

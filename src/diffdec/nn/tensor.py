@@ -11,7 +11,7 @@ The graph owns no tensor.  A closure keeps the arrays its backward reads
 and the shapes it needs, and reaches its parents through their records
 alone: ``matmul``, ``grouped_matmul`` and ``mul`` keep their operands,
 ``gelu`` its derivative, ``layer_norm`` xhat, the inverse deviation and the
-gain, ``attention`` q|k|v, the weights, the tokens and [wq | wk | wv], and
+gain, ``attention`` q, k|v, the weights, the tokens and [wq | wk | wv], and
 ``add``, ``reshape``, ``slice_leading`` and ``gather_rows`` shapes only.  So
 an activation lives only while the caller holds its tensor or some closure
 reads it: the product a GELU consumes and the residual stream on both sides
@@ -35,10 +35,9 @@ themselves:
 * ``matmul`` and ``grouped_matmul`` with a bias add it into the fresh
   product and take its gradient in their own backward, so ``x @ w + b``
   is one node holding one array;
-* ``softmax_last`` applies an optional scale and constant bias in the array
-  it computes the weights in;
 * ``attention`` is one node for a block's masked self-attention: one
-  product of the tokens with [wq | wk | wv], scores whose scale, mask and
+  product of every token with [wk | wv] and one of the querying tokens with
+  wq, scores whose scale (1/sqrt(d), from the tokens' width), mask and
   softmax run in the score array, and a backward that writes dq | dk | dv
   into one array, so that each of the tokens' and the weights' gradients
   is one product;
@@ -359,81 +358,68 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x, y)[..., None]
 
 
-def _softmax(x: np.ndarray, scale, bias, out) -> np.ndarray:
-    """Softmax over the last axis of ``x * scale + bias`` (each optional), every
-    step into ``out`` (``x`` itself allowed) or else into the first step's array."""
-    if scale is not None:
-        x = out = np.multiply(x, scale, out=out)
-    if bias is not None:
-        x = out = np.add(x, bias, out=out)
+def _softmax(x: np.ndarray, out) -> np.ndarray:
+    """Softmax over the last axis of ``x``, every step into ``out`` (``x``
+    itself allowed) or, with ``out`` None, into the first step's array."""
     s = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(s, out=s)
     s /= _row_sums(s)
     return s
 
 
-def _softmax_grad(grad: np.ndarray, s: np.ndarray, scale, out=None) -> np.ndarray:
+def _softmax_grad(grad: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
     """The gradient of ``_softmax``'s operand from that of its weights ``s``:
-    (grad - rowdot(grad, s)) * s, then * scale; into ``out`` (``grad`` allowed)."""
+    (grad - rowdot(grad, s)) * s, into ``out`` (``grad`` allowed)."""
     ga = np.subtract(grad, _row_dots(grad, s), out=out)
     ga *= s
-    if scale is not None:
-        ga *= scale
     return ga
 
 
-def softmax_last(a, scale=None, bias=None) -> Tensor:
-    """Softmax over the last axis of ``a * scale + bias``; -inf entries get
-    exactly zero weight.
-
-    ``scale`` (a number) and ``bias`` (a constant array that broadcasts to
-    ``a``'s shape, such as an attention mask of 0 and -inf) are optional.
-    Every step writes into the first step's array.  The results equal those
-    of ``mul``, ``add`` and the plain softmax bit for bit, and the backward
-    is the softmax rule followed by ``* scale``."""
+def softmax_last(a) -> Tensor:
+    """Softmax over the last axis; -inf entries get exactly zero weight."""
     a = _wrap(a)
-    ra, s = a._record, _softmax(a.data, scale, bias, None)
+    ra, s = a._record, _softmax(a.data, None)
 
     def backward(grad):
-        ra.accumulate(_softmax_grad(grad, s, scale))
+        ra.accumulate(_softmax_grad(grad, s))
 
     return _make(s, (ra,), backward)
 
 
-def attention(h, wq, wk, wv, scale, bias) -> Tensor:
-    """softmax(q k^T * scale + bias) v for q, k, v = h wq, h wk, h wv, in one node.
+def attention(h, wq, wk, wv, bias) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v for q, k, v = h wq, h wk, h wv, in one node.
 
     ``h`` is (B, s, d) and ``bias`` a constant (s_q, s) array such as an
     attention mask of 0 and -inf (every row with a 0); the first s_q tokens
     query, every token is a key and a value, and the output is (B, s_q, d).
-    With s_q = s one product of h with [wq | wk | wv] gives q, k and v;
-    otherwise [wk | wv] goes over every token and wq over the first s_q
-    alone.  The scores' softmax (see ``_softmax``) overwrites the score
-    product.  The backward writes dq | dk | dv into one (B, s, 3d) array (dq
-    zero past row s_q), so that h's gradient is one product with
-    [wq | wk | wv]^T and the three weights' gradient one product with h^T."""
+    One product of every token with [wk | wv] gives k and v, one of the
+    first s_q tokens with wq gives q.  The scale, the mask and the softmax
+    (see ``_softmax``) overwrite the score product in that order, as
+    ``mul``, ``add`` and ``softmax_last`` would compute them.  The backward
+    writes dq | dk | dv into one (B, s, 3d) array (dq zero past row s_q), so
+    that h's gradient is one product with [wq | wk | wv]^T and the three
+    weights' gradient one product with h^T."""
     h, wq, wk, wv = (_wrap(t) for t in (h, wq, wk, wv))
     rh, rw = h._record, (wq._record, wk._record, wv._record)
     b, s, d = h.data.shape
-    queries = bias.shape[0]
+    queries, scale = len(bias), 1.0 / np.sqrt(d)
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     rows = h.data.reshape(-1, d)
-    if queries == s:
-        qkv = (rows @ w).reshape(b, s, 3 * d)
-        q, kv = qkv[..., :d], qkv[..., d:]
-    else:
-        kv = (rows @ w[:, d:]).reshape(b, s, 2 * d)
-        q = (h.data[:, :queries].reshape(-1, d) @ wq.data).reshape(b, queries, d)
+    kv = (rows @ w[:, d:]).reshape(b, s, 2 * d)
     k, v = kv[..., :d], kv[..., d:]
+    q = (h.data[:, :queries].reshape(-1, d) @ wq.data).reshape(b, queries, d)
     scores = q @ k.swapaxes(-1, -2)
-    weights = _softmax(scores, scale, bias, out=scores)
+    scores *= scale
+    scores += bias
+    weights = _softmax(scores, out=scores)
     data = weights @ v
 
     def backward(grad):
         dqkv = np.empty((b, s, 3 * d))
         np.matmul(weights.swapaxes(-1, -2), grad, out=dqkv[..., 2 * d:])
         dscores = grad @ v.swapaxes(-1, -2)
-        _softmax_grad(dscores, weights, scale, out=dscores)
+        _softmax_grad(dscores, weights, out=dscores)
+        dscores *= scale
         np.matmul(dscores, k, out=dqkv[:, :queries, :d])
         dqkv[:, queries:, :d] = 0.0
         np.matmul(dscores.swapaxes(-1, -2), q, out=dqkv[..., d:2 * d])

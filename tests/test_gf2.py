@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import diffdec.gf2 as gf2
 from diffdec.bench import StopRule, run_ber
 from diffdec.channel import bpsk
-from diffdec.gf2 import (AlistFormatError, ParityCheckMatrix, RankDeficiencyError, builtin_code,
-                         encode_batch, hard_decision, load_alist, ml_decode_batch,
-                         syndrome_weights, systematic_generator, to_alist)
+from diffdec.gf2 import (AlistFormatError, GeneratorMatrix, ParityCheckMatrix,
+                         RankDeficiencyError, builtin_code, encode_batch, hard_decision,
+                         load_alist, ml_decode_batch, syndrome_weights, systematic_generator,
+                         to_alist)
 from oracles import HAMMING74_ALIST, codes, pseudo_ldpc_49_24, regular_ldpc
 
 
@@ -139,6 +140,13 @@ class TestSystematicGenerator:
     def test_hamming74_annihilates_H_for_all_16_messages(self, ham74, ham74_gen):
         msgs = ((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(np.uint8)
         assert not syndrome_weights(ham74, bpsk(encode_batch(ham74_gen, msgs))).any()
+
+    def test_generator_of_another_code_rejected(self, ham74, rep31):
+        G = systematic_generator(ham74)
+        with pytest.raises(ValueError, match="annihilate"):
+            GeneratorMatrix(G.matrix[:, ::-1], G.permutation, ham74)
+        with pytest.raises(ValueError, match="length 7 for a length-3 code"):
+            GeneratorMatrix(G.matrix, G.permutation, rep31)
 
     def test_repetition_gives_all_ones_row(self, rep31, rep31_gen):
         assert np.array_equal(rep31_gen.matrix, [[1, 1, 1]])
@@ -324,6 +332,17 @@ class TestMlDecode:
         with pytest.raises(ValueError):
             ml_decode_batch(H, systematic_generator(H), np.ones((1, 20)))
 
+
+    def test_generator_of_another_code_rejected(self, ham74, rep31_gen):
+        # another (7,4) code: its codewords fail Hamming's checks, and ML over
+        # them returned non-codewords without an error
+        other = ParityCheckMatrix([[1, 0, 1, 1, 1, 0, 0], [1, 1, 0, 1, 0, 1, 0],
+                                   [1, 1, 1, 0, 0, 0, 1]])
+        Y = np.ones((2, 7))
+        with pytest.raises(ValueError, match="annihilate"):
+            ml_decode_batch(ham74, systematic_generator(other), Y)
+        with pytest.raises(ValueError, match="length 3 for a length-7 code"):
+            ml_decode_batch(ham74, rep31_gen, Y)
 
     @pytest.mark.parametrize("word", [[np.nan, 1.0, 1.0], [np.inf, -np.inf, 1.0]])
     def test_non_finite_word_rejected(self, rep31, rep31_gen, word):

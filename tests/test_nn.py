@@ -87,7 +87,7 @@ def _dense_attention_logits(model, feats, e):
         pre = f"blocks.{i}."
         h = T.layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         att = T.attention(h, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"],
-                          1.0 / np.sqrt(model.arch.embed_dim), np.where(model.mask, 0.0, -np.inf))
+                          np.where(model.mask, 0.0, -np.inf))
         x = T.add(x, T.matmul(att, p[pre + "wo"]))
         h2 = T.layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         f = T.gelu(T.matmul(h2, p[pre + "ffn1.weight"], p[pre + "ffn1.bias"]))
@@ -181,6 +181,16 @@ class TestForward:
             with pytest.raises(ValueError, match="syndrome bits"):
                 model.denoise(y, s)
         assert model.denoise(Y[:, :7], np.zeros((4, 3))).shape == (4, 7)
+
+    @pytest.mark.parametrize("backbone", list(ARCHS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_denoise_rejects_non_finite_words(self, ham74, backbone, bad):
+        # as every decoder does: a nan or inf entry gave NaN logits
+        model = DenoiserModel.create(ham74, ARCHS[backbone], seed=0)
+        Y = np.ones((3, 7))
+        Y[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            model.denoise(Y, np.zeros((3, 3), dtype=np.uint8))
 
     @pytest.mark.parametrize("syndrome", [[[0.5, 0.5, 0], [2, 0, 0]], [[0, 1, 0], [2, 0, 0]],
                                           [[0, -1, 0], [0, 0, 1]]],
@@ -280,8 +290,8 @@ class TestBitTokenForward:
                 rows[names[id(b)]] = np.shape(a.data if isinstance(a, Tensor) else a)[:-1]
             return matmul(a, b, *rest)
 
-        def recording_attention(h, wq, wk, wv, scale, bias):
-            out = attention(h, wq, wk, wv, scale, bias)
+        def recording_attention(h, wq, wk, wv, bias):
+            out = attention(h, wq, wk, wv, bias)
             rows[names[id(wq)]] = out.data.shape[:-1]  # one output row per query
             rows[names[id(wk)]] = rows[names[id(wv)]] = h.data.shape[:-1]
             return out
@@ -377,7 +387,7 @@ class TestMatmulWeightGradient:
         assert np.abs(a.grad - batched).max() <= 1e-15 * np.abs(batched).max()
 
     def test_batched_weight_gradient_stays_per_matrix(self):
-        # the attention scores: 3-D @ 3-D, one product per batch entry
+        # the MLP's folded front end: 3-D @ 3-D, one product per feature position
         rng = np.random.default_rng(42)
         a = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 6, 5)), requires_grad=True)
@@ -480,7 +490,7 @@ class TestInPlaceOps:
         x, probe = self._inputs((64, 10, d))
         rng = np.random.default_rng(54)
         gain, bias = rng.normal(size=d), rng.normal(size=d)
-        for op in (lambda t: T.softmax_last(t, 0.5), lambda t: T.layer_norm(t, gain, bias)):
+        for op in (T.softmax_last, lambda t: T.layer_norm(t, gain, bias)):
             out, (grad,) = _forward_and_grads(op, [x], probe)
             for b, j in np.ndindex(x.shape[:2]):
                 row, (row_grad,) = _forward_and_grads(op, [x[b:b + 1, j:j + 1]],
@@ -497,19 +507,9 @@ def _forward_and_grads(build, arrays, probe):
     return out.data, [t.grad for t in leaves]
 
 
-def _attention_case(lead, s=6, d=4):
-    rng = np.random.default_rng(46)
-    q, k = rng.normal(0, 2, lead + (s, d)), rng.normal(0, 2, lead + (s, d))
-    allow = rng.random((s, s)) < 0.5
-    np.fill_diagonal(allow, True)  # every row keeps a partner, as in attention_mask
-    return [q, k], np.where(allow, 0.0, -np.inf), rng.normal(size=lead + (s, s))
-
-
 class TestFusedOps:
     """The fused ops equal the chains of plain ops they replace bit for bit, in the
     forward and in every gradient, and leave every array they are handed unchanged."""
-
-    SCALE = 1.0 / np.sqrt(4)
 
     @staticmethod
     def _assert_same_as_chain(fused, chain, arrays, probe, constants=()):
@@ -548,14 +548,6 @@ class TestFusedOps:
             lambda x, t, b: T.add(T.grouped_matmul(x, order, bounds, t), b),
             arrays, rng.normal(size=(9, 3)), constants=(order, bounds))
 
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
-    def test_scaled_masked_softmax_equals_mul_add_softmax(self, lead):
-        (scores, _), mask, probe = _attention_case(lead, d=6)
-        self._assert_same_as_chain(
-            lambda a: T.softmax_last(a, self.SCALE, mask),
-            lambda a: T.softmax_last(T.add(T.mul(a, self.SCALE), mask)),
-            [scores], probe, constants=(mask,))
-
 
 def _swap_last_axes(a: Tensor) -> Tensor:
     """a^T over the last two axes as a graph op, for the reference chain's k^T."""
@@ -563,17 +555,17 @@ def _swap_last_axes(a: Tensor) -> Tensor:
                    lambda grad: a._record.accumulate(grad.swapaxes(-1, -2)))
 
 
-def _unfused_attention(h, wq, wk, wv, scale, bias):
+def _unfused_attention(h, wq, wk, wv, bias):
     """The chain of plain ops the attention node replaces: the first len(bias)
-    tokens query, every token is a key and a value."""
+    tokens query, every token is a key and a value, and the scores are scaled
+    by 1/sqrt(d) and masked before the softmax."""
     queries = T.slice_leading(h, len(bias)) if len(bias) < h.data.shape[1] else h
     scores = T.matmul(T.matmul(queries, wq), _swap_last_axes(T.matmul(h, wk)))
-    return T.matmul(T.softmax_last(scores, scale, bias), T.matmul(h, wv))
+    scores = T.add(T.mul(scores, 1 / np.sqrt(h.data.shape[-1])), bias)
+    return T.matmul(T.softmax_last(scores), T.matmul(h, wv))
 
 
 class TestAttention:
-    SCALE = 0.5
-
     @staticmethod
     def _case(queries, b=3, s=6, d=4):
         rng = np.random.default_rng(46)
@@ -582,26 +574,28 @@ class TestAttention:
         np.fill_diagonal(allow, True)  # every row keeps a partner, as in attention_mask
         return arrays, np.where(allow, 0.0, -np.inf)[:queries], rng.normal(size=(b, queries, d))
 
-    @pytest.mark.parametrize("queries", [6, 4], ids=["every-token", "first-tokens"])
-    def test_equals_the_unfused_chain(self, queries):
-        arrays, mask, probe = self._case(queries)
+    @pytest.mark.parametrize("queries, d", [(6, 4), (4, 4), (6, 6)],
+                             ids=["every-token", "first-tokens", "d6"])
+    def test_equals_the_unfused_chain(self, queries, d):
+        # d = 6: a scale of 1/sqrt(6), which no other simple formula of d gives
+        # (at d = 4, 1/sqrt(d) = 2/d = 0.5)
+        arrays, mask, probe = self._case(queries, d=d)
         before = [a.tobytes() for a in (*arrays, mask)]
         want, want_grads = _forward_and_grads(
-            lambda *t: _unfused_attention(*t, self.SCALE, mask), arrays, probe)
-        got, got_grads = _forward_and_grads(
-            lambda *t: T.attention(*t, self.SCALE, mask), arrays, probe)
+            lambda *t: _unfused_attention(*t, mask), arrays, probe)
+        got, got_grads = _forward_and_grads(lambda *t: T.attention(*t, mask), arrays, probe)
         assert got.shape == probe.shape and np.array_equal(got, want)
         # h's gradient adds the q, k and v paths inside one product: equal to rounding
         for g, w in zip(got_grads, want_grads, strict=True):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
         with T.no_grad():
-            out = T.attention(*(Tensor(a, requires_grad=True) for a in arrays), self.SCALE, mask)
+            out = T.attention(*(Tensor(a, requires_grad=True) for a in arrays), mask)
         assert not out.requires_grad and np.array_equal(out.data, want)
         assert [a.tobytes() for a in (*arrays, mask)] == before
 
     def test_masked_pairs_get_zero_weight_and_zero_gradient(self):
         (h, *weights), mask, probe = self._case(6)
-        out = T.attention(h, *weights, self.SCALE, mask).data
+        out = T.attention(h, *weights, mask).data
         checked = 0
         for i, row in enumerate(mask):
             blocked = row == -np.inf
@@ -609,12 +603,12 @@ class TestAttention:
                 continue
             moved = h.copy()
             moved[:, blocked] += 1.0  # the tokens query i may not see
-            assert np.array_equal(T.attention(moved, *weights, self.SCALE, mask).data[:, i],
+            assert np.array_equal(T.attention(moved, *weights, mask).data[:, i],
                                   out[:, i])
             only_i = np.zeros_like(probe)
             only_i[:, i] = probe[:, i]
             _, (grad_h, *_) = _forward_and_grads(
-                lambda *t: T.attention(*t, self.SCALE, mask), [h, *weights], only_i)
+                lambda *t: T.attention(*t, mask), [h, *weights], only_i)
             assert not grad_h[:, blocked].any() and grad_h[:, ~blocked].all()
             checked += 1
         assert checked > 2
