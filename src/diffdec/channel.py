@@ -70,17 +70,22 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool, which reads as 0 or 1, is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_integer(**values) -> None:
     """Raise ValueError naming the first value that is not an integer."""
     for name, value in values.items():
-        if not isinstance(value, Integral):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_count(least: int = 1, /, **values) -> None:
     """Raise ValueError naming the first value that is not an integer >= ``least``."""
     for name, value in values.items():
-        if not (isinstance(value, Integral) and value >= least):
+        if not (is_integer(value) and value >= least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 

@@ -17,11 +17,10 @@ Non-finite input is rejected; non-convergence is a normal outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .channel import check_count
+from .channel import check_count, is_integer
 from .diffusion import NoiseSchedule, mul_to_add_noise, noise_coefficients
 from .gf2 import ParityCheckMatrix, hard_decision, word_batch
 from .nn import DenoiserModel
@@ -42,7 +41,7 @@ class DecodeConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         lo, hi, count = self.ls_lo, self.ls_hi, self.ls_count
         if not (np.isfinite([lo, hi]).all() and 0 < lo <= hi
-                and isinstance(count, Integral) and count >= 1):
+                and is_integer(count) and count >= 1):
             raise ValueError(f"need finite 0 < lo <= hi and an integer count >= 1, got {lo, hi, count}")
         check_count(0, max_iters=self.max_iters)
 
@@ -132,7 +131,8 @@ def decode_batch(model, H: ParityCheckMatrix, schedule: NoiseSchedule, Y: np.nda
         Y_alive, S_alive = Y[alive], S[alive]
         gamma = S_alive.sum(axis=1).astype(np.int64)
         logits = denoiser(Y_alive, S_alive)  # logit > 0 means the sign was flipped
-        eps_hat = mul_to_add_noise(Y_alive, np.where(logits > 0, -1.0, 1.0))
+        # negated in float64: a bool or unsigned array would not negate
+        eps_hat = mul_to_add_noise(Y_alive, np.negative(logits, dtype=np.float64))
         coeff = noise_coefficients(schedule, gamma)
         lam, Y[alive], S[alive] = _ls_pick(H, Y_alive, eps_hat, coeff, grid)
         iters[alive] += 1

@@ -140,4 +140,4 @@ def mul_to_add_noise(y: np.ndarray, eps_tilde_pred: np.ndarray) -> np.ndarray:
     pred = np.asarray(eps_tilde_pred, dtype=np.float64)
     if y.shape != pred.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {pred.shape}")
-    return y - np.where(pred < 0, -1.0, 1.0) * np.where(y < 0, -1.0, 1.0)
+    return y - np.where((pred < 0) != (y < 0), -1.0, 1.0)

@@ -181,11 +181,7 @@ class DenoiserModel:
         first = "hidden.0" if self.arch.layers else "head"
         w1 = self.params[first + ".weight"]
         order = np.argsort(e, kind="stable")  # each count's rows, in batch order
-        ranked = e[order]
-        opens = np.ones(len(e), dtype=bool)  # where a count starts in ``ranked``
-        np.not_equal(ranked[1:], ranked[:-1], out=opens[1:])
-        starts = np.flatnonzero(opens)
-        counts = ranked[starts]
+        counts, starts = np.unique(e[order], return_index=True)
         gate = T.mul(T.reshape(self.params["embed.weight"], (s, 1, d)),
                      T.reshape(T.gather_rows(self.params["cond.table"], counts),
                                (1, len(counts), d)))

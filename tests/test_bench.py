@@ -282,6 +282,12 @@ class TestRunBer:
         with pytest.raises(ValueError):
             run_ber("ml", rep31, [4.0], **bad)
 
+    @pytest.mark.parametrize("bad", [dict(workers=True), dict(batch_size=True)])
+    def test_bool_workers_or_batch_size_rejected(self, rep31, bad):
+        # batch_size=True once failed inside numpy with a TypeError
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run_ber("ml", rep31, [4.0], **bad)
+
     @pytest.mark.parametrize("bp_iters", [0, -5, 2.5])
     def test_bp_iteration_cap_below_one_rejected(self, rep31, bp_iters):
         with pytest.raises(ValueError, match="bp_iters"):

@@ -108,9 +108,9 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed,stream", [(1.5, 0), (np.float64(1.0), 0), ("1", 0),
-                                             (1, 2.5), (1, None)])
+                                             (1, 2.5), (1, None), (True, 0), (1, False)])
     def test_non_integer_seed_or_stream_rejected(self, seed, stream):
-        # a seed of 1.5 once drew seed 1's stream
+        # a seed of 1.5 once drew seed 1's stream, and so did a seed of True
         with pytest.raises(ValueError, match="seed|stream"):
             make_rng(seed, stream=stream)
 

@@ -126,6 +126,18 @@ class TestDecodeBasics:
             assert np.array_equal(single.bits, res.bits[i])
             assert single.iters_used == res.iters[i]
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_bool_and_unsigned_logits_read_as_their_values(self, ham74, ham74_gen, dtype):
+        x_s = bpsk(Codeword(ham74_gen.codebook()[5]))
+        y = x_s[None, :].copy()
+        y[0, 2] *= -0.4  # one flipped sign
+        oracle = oracle_denoiser(x_s)  # logit 8 where a sign was flipped, else -8
+        want = decode_batch(oracle, ham74, SCHED74, y)
+        got = decode_batch(lambda Y, S: (oracle(Y, S) > 0).astype(dtype), ham74, SCHED74, y)
+        assert want.converged.all()
+        for name in ("bits", "converged", "iters", *STEP_ARRAYS):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_nonconvergence_is_reported_not_raised(self, ham74):
         # a denoiser that always claims "no flips" cannot fix anything
         fn = lambda Y, syndrome: np.full(Y.shape, -8.0)
@@ -232,7 +244,8 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("ls_grid", [(np.nan, 20.0, 20), (1.0, np.nan, 20), (1.0, np.inf, 20),
                                          (-np.inf, 20.0, 20), (1.0, 20.0, 2.5), (1.0, 20.0, 20.0),
-                                         (0.0, 20.0, 20), (2.0, 1.0, 20), (1.0, 20.0, 0)])
+                                         (0.0, 20.0, 20), (2.0, 1.0, 20), (1.0, 20.0, 0),
+                                         (1.0, 20.0, True)])
     def test_bad_grid_rejected(self, ls_grid):
         lo, hi, count = ls_grid
         with pytest.raises(ValueError, match="lo <= hi"):

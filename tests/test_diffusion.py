@@ -163,6 +163,15 @@ class TestMulToAdd:
         # estimates the codeword symbol -1, so the additive noise is +1
         assert np.array_equal(mul_to_add_noise(np.array([0.0]), np.array([-1.0])), [1.0])
 
+    def test_negated_logits_give_the_three_sign_form_at_signed_zeros(self):
+        # the decoder passes the negated logits: a positive logit predicts a flip
+        values = np.array([-1.5, -1.0, -0.0, 0.0, 1.0, 2.0])
+        y, logits = (a.ravel() for a in np.meshgrid(values, values))
+        old = y - (np.where(np.where(logits > 0, -1.0, 1.0) < 0, -1.0, 1.0)
+                   * np.where(y < 0, -1.0, 1.0))
+        new = mul_to_add_noise(y, -logits)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))  # bit for bit
+
 
 def reverse_step(x, eps_hat, t, schedule, lam=1.0):
     """The decoder's reverse step at a single step size: x - lam*c(t)*eps_hat."""

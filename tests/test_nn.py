@@ -26,6 +26,10 @@ from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
 # gradient of a batched input took one GEMM and GELU, softmax and layer norm
 # ran in place; regenerate only for a deliberate change of the arithmetic.
 GRAD_REFERENCE = Path(__file__).parent / "data" / "grad_reference.npz"
+# Losses and parameters of _reference_training as computed when Adam stepped one
+# flat vector of every parameter; regenerate only for a deliberate change of the
+# arithmetic.
+TRAIN_REFERENCE = Path(__file__).parent / "data" / "train_reference.npz"
 SCHED74 = NoiseSchedule.constant(0.01, 3)
 ARCHS = {
     "mlp": ArchConfig("mlp", embed_dim=8, layers=2),
@@ -815,6 +819,35 @@ def test_parameter_gradients_match_the_saved_reference(backbone):
         assert np.abs(grad - want[name]).max() <= 1e-12 * scale, name
 
 
+def _reference_training(backbone: str) -> dict[str, np.ndarray]:
+    """The 10 losses and every parameter after 10 training steps at batch 32 on
+    Hamming(7,4), each followed by ``Adam.step(1e-2)``; the noise flips 1-10 %
+    of the bits, so the losses stay away from 0."""
+    model = DenoiserModel.create(builtin_code("hamming74"), ARCHS[backbone], seed=23)
+    opt = Adam(model.params)
+    rng = make_rng(24, stream=1)
+    schedule = NoiseSchedule.constant(0.2, 3)
+    losses = []
+    for _ in range(10):
+        losses.append(training_step(model, schedule, 32, rng))
+        opt.step(1e-2)
+    got = {f"{backbone}/{name}": p.data for name, p in model.params.items()}
+    got[f"{backbone}/losses"] = np.array(losses)
+    return got
+
+
+@pytest.mark.parametrize("backbone", list(ARCHS))
+def test_training_matches_the_saved_reference(backbone):
+    with np.load(TRAIN_REFERENCE) as saved:
+        want = {name: saved[name] for name in saved.files if name.startswith(backbone + "/")}
+    got = _reference_training(backbone)
+    assert sorted(got) == sorted(want)
+    for name, value in got.items():
+        scale = np.abs(want[name]).max()
+        assert scale > 0, name
+        assert np.abs(value - want[name]).max() <= 1e-12 * scale, name
+
+
 class TestMaskedAttention:
     def test_mask_structure_follows_the_code(self, ham74):
         mask = attention_mask(ham74.matrix)
@@ -870,9 +903,9 @@ class TestAdam:
         Adam({"p": p}).step(lr=0.1)
         assert np.array_equal(p.data, np.ones(4))
 
-    def test_flat_steps_equal_the_per_parameter_rule(self):
+    def test_steps_equal_the_per_parameter_rule(self):
         rng = np.random.default_rng(53)
-        # "big" puts the flat vector over more than one block of a step
+        # "big" holds more than _BLOCK_FLOATS floats
         shapes = {"w": (4, 3), "b": (3,), "t": (2, 3, 2), "big": (3, _BLOCK_FLOATS // 2),
                   "s": (1,)}
         params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
@@ -896,6 +929,25 @@ class TestAdam:
                     v[...] = 0.999 * v + (1 - 0.999) * g * g
                     value -= lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
                 assert np.array_equal(p.data, value), (name, t)
+
+    def test_parameters_keep_their_own_arrays(self):
+        arrays = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+        params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        opt = Adam(params)
+        for name, p in params.items():
+            assert p.data is arrays[name]
+            p.grad = np.full(p.data.shape, 0.5)
+        opt.step(0.1)
+        assert all(p.data is arrays[name] for name, p in params.items())
+        assert np.allclose(arrays["w"], 0.9) and np.allclose(arrays["b"], -0.1)
+
+    def test_a_rebound_parameter_is_stepped(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam({"p": p})
+        p.data = np.ones(3)
+        p.grad = np.full(3, 2.0)
+        opt.step(0.01)
+        assert np.allclose(p.data, 0.99, rtol=1e-6)
 
     def test_seeded_training_is_reproducible(self, rep31):
         from diffdec.training import training_step

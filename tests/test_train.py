@@ -54,7 +54,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("arch", [{"backbone": "bogus"}, {"embed_dim": 0},
                                       {"layers": -1}, {"hidden_mult": 0},
                                       {"embed_dim": 2.5}, {"layers": 1.5},
-                                      {"hidden_mult": 2.5}, {"layers": np.float64(2.0)}])
+                                      {"hidden_mult": 2.5}, {"layers": np.float64(2.0)},
+                                      {"layers": True}, {"embed_dim": True}])
     def test_bad_architecture_rejected_at_construction(self, arch):
         with pytest.raises(ValueError, match=next(iter(arch))):
             TrainConfig(code="rep31", **arch)
@@ -84,12 +85,13 @@ class TestTrainConfig:
         ("epochs", 1.5), ("epochs", -1), ("epochs", "3"),
         ("batches_per_epoch", 2.5), ("batches_per_epoch", 0), ("batches_per_epoch", -2),
         ("batch_size", 2.5), ("batch_size", 0), ("batch_size", np.float64(8.0)),
+        ("epochs", False), ("batch_size", True),
     ])
     def test_non_integer_or_out_of_range_count_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(code="rep31", **{field: value})
 
-    @pytest.mark.parametrize("seed", [2.5, np.float64(2.0), "2", None])
+    @pytest.mark.parametrize("seed", [2.5, np.float64(2.0), "2", None, False])
     def test_non_integer_seed_rejected_at_construction(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             TrainConfig(code="rep31", seed=seed)
