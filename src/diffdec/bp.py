@@ -33,6 +33,14 @@ on the channel decisions.  A word's bits, posteriors and iteration count
 are written once, when it converges or after the last iteration.  Every
 word is decoded on its own, so a batch of several rounds decodes each round
 exactly as it would alone.
+
+An iteration holds at most two (num_slots, B) arrays at once, beside the
+(n, B) posterior sums and channel half-LLRs: ``check_update`` takes tanh in
+the variable messages it is handed and writes the check messages into the
+slot array, the spent variable messages are dropped before the next ones
+are gathered, and the slot array before the alive words are compacted.
+The posteriors returned are the clipped channel LLR array itself, into
+which each word is written as it leaves.
 """
 
 from __future__ import annotations
@@ -74,8 +82,9 @@ def check_update(messages: np.ndarray, graph: TannerGraph,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Tanh-rule check-node update on (num_slots, B) variable-to-check slot
     messages in half-LLRs, giving half-LLRs, written into ``out`` (a
-    C-contiguous (num_slots, B) array) if given."""
-    t = np.clip(messages, -_HALF_CLAMP, _HALF_CLAMP)
+    C-contiguous (num_slots, B) array) if given.  The input is consumed:
+    ``messages`` is overwritten with scratch values."""
+    t = np.clip(messages, -_HALF_CLAMP, _HALF_CLAMP, out=messages)
     np.tanh(t, out=t)
     t[graph.pad] = 1.0
     t = t.reshape(graph.check_shape + messages.shape[1:])
@@ -104,12 +113,12 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
     Y = word_batch(Y, H.n)
     llr = np.clip(2.0 * Y / sigma**2, -LLR_CLAMP, LLR_CLAMP)
     bits = hard_decision(llr)
-    posterior = llr.copy()
     iters = np.zeros(len(Y), dtype=np.int64)
     done = ~H.syndrome_bits(bits).any(axis=-1)
     alive = np.flatnonzero(~done)
     llr_T = np.ascontiguousarray(llr[alive].T)  # (n, alive words), in half-LLRs from here on
     llr_T /= 2.0
+    posterior = llr  # only leaving words are written into it, and llr_T is taken
     m_vc = llr_T[graph.slot_col]
     for it in range(1, max_iters + 1):
         if alive.size == 0:
@@ -117,6 +126,7 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
         slots = np.empty((graph.num_slots + 1, alive.size))
         slots[-1] = 0.0  # the row that pad entries of bit_slots read
         m_cv = check_update(m_vc, graph, out=slots[:-1])
+        del m_vc  # consumed by check_update, freed before the next messages are gathered
         post = slots[graph.bit_slots[:, 0]]
         for i in range(1, graph.bit_slots.shape[1]):  # left to right, in check order
             post += slots[graph.bit_slots[:, i]]
@@ -124,6 +134,7 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
         m_vc = post[graph.slot_col]
         ok = ~graph.any_check_fails(m_vc)
         m_vc -= m_cv
+        del slots, m_cv  # freed before compaction copies m_vc
         leaving = ok if it < max_iters else np.ones_like(ok)
         if leaving.any():  # write each word's outputs once, as it leaves
             bits[alive[leaving]] = hard_decision(post[:, leaving].T)
@@ -134,5 +145,5 @@ def bp_decode_batch(H: ParityCheckMatrix, Y: np.ndarray, sigma: float, max_iters
             alive = alive[keep]
             # np.compress keeps C order, so the in-place updates above stay on contiguous rows
             m_vc, llr_T = np.compress(keep, m_vc, axis=1), np.compress(keep, llr_T, axis=1)
-        del slots, m_cv, post  # freed before the next iteration allocates its own
+        del post  # freed before the next iteration allocates its own
     return bits, done, iters, posterior

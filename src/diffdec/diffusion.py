@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_count
+
 
 class NoiseSchedule:
     """Positive per-step variances beta_t and their cumulative sums.
@@ -47,14 +49,17 @@ class NoiseSchedule:
 
     @classmethod
     def constant(cls, beta: float, T: int) -> "NoiseSchedule":
+        check_count(T=T)
         return cls(np.full(T, float(beta)))
 
     @classmethod
     def linear(cls, first: float, last: float, T: int) -> "NoiseSchedule":
+        check_count(T=T)
         return cls(np.linspace(first, last, T))
 
     @classmethod
     def geometric(cls, first: float, last: float, T: int) -> "NoiseSchedule":
+        check_count(T=T)
         return cls(np.geomspace(first, last, T))
 
     def _index(self, t) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from diffdec.gf2 import builtin_code, systematic_generator
@@ -13,6 +15,16 @@ REP31_TRAIN = TrainConfig(code="rep31", epochs=20, batches_per_epoch=100,
 HAM74_TRAIN = TrainConfig(code="hamming74", epochs=80, batches_per_epoch=100,
                           batch_size=128, lr0=1e-3, lr_min=1e-5, seed=5,
                           beta=0.25, backbone="mlp", embed_dim=48, layers=2)
+
+
+def peak_traced_bytes(fn) -> int:
+    """The peak of the memory ``tracemalloc`` traces while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -90,6 +93,18 @@ def untrained_denoiser(code, backbone="mlp"):
                 schedule=NoiseSchedule.constant(0.25, code.num_checks))
 
 
+def openblas_num_threads():
+    """numpy's bundled OpenBLAS thread-count getter, found with ctypes under
+    ``numpy.libs``, or None where there is no such library or symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get
+    return None
+
+
 class TestRunBer:
     def test_ml_repetition_matches_gaussian_tail_anchor(self, rep31):
         # a 2-codeword antipodal code: frame error prob is Q(sqrt(n)/sigma)
@@ -150,6 +165,17 @@ class TestRunBer:
         assert one == two == three
         # each point's rounds split unevenly over 2 and over 3 workers' calls
         assert all((p.words // 200) % 6 in (1, 5) for p in one)
+
+    def test_workers_leave_the_calling_threads_blas_threads_as_found(self, ham74):
+        # openblas_set_num_threads_local(1) in a worker thread also drops the
+        # calling thread to one BLAS thread, so a worker may not pin itself that way
+        get = openblas_num_threads()
+        if get is None:
+            pytest.skip("numpy's OpenBLAS thread-count getter is not available")
+        before = get()
+        run_ber("ddecc-ls", ham74, [2.0], StopRule(1000, 0, 1000), seed=3, workers=2,
+                batch_size=200, **untrained_denoiser(ham74))
+        assert get() == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bp_points_do_not_depend_on_rounds_per_call(self, ham74, workers, monkeypatch,

@@ -28,6 +28,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             NoiseSchedule([0.01, 0.0])
 
+    @pytest.mark.parametrize("T", [True, 2.5, 0, -1])
+    @pytest.mark.parametrize("make", [
+        lambda T: NoiseSchedule.constant(0.1, T),
+        lambda T: NoiseSchedule.linear(0.1, 0.2, T),
+        lambda T: NoiseSchedule.geometric(0.1, 0.2, T),
+    ], ids=["constant", "linear", "geometric"])
+    def test_step_count_must_be_a_positive_integer(self, make, T):
+        # a bool once built a 1-step schedule, a float died in numpy with a TypeError
+        with pytest.raises(ValueError, match="T must be an integer >= 1"):
+            make(T)
+
     def test_step_bounds(self):
         with pytest.raises(ValueError):
             CONST.beta(0)

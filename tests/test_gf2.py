@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ from diffdec.gf2 import (AlistFormatError, GeneratorMatrix, ParityCheckMatrix,
                          RankDeficiencyError, builtin_code, encode_batch, hard_decision,
                          load_alist, ml_decode_batch, syndrome_weights, systematic_generator,
                          to_alist)
+from conftest import peak_traced_bytes
 from oracles import HAMMING74_ALIST, codes, pseudo_ldpc_49_24, regular_ldpc
 
 
@@ -316,12 +316,7 @@ class TestMlDecode:
         A = np.random.default_rng(20).integers(0, 2, (4, 16), dtype=np.uint8)
         H = ParityCheckMatrix(np.concatenate([A, np.eye(4, dtype=np.uint8)], axis=1))
         stop = StopRule(min_words=1024, min_error_frames=0, max_words=1024)
-        tracemalloc.start()
-        try:
-            run_ber("ml", H, [4.0], stop, seed=1, batch_size=1024)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(lambda: run_ber("ml", H, [4.0], stop, seed=1, batch_size=1024))
         assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_k_too_large_rejected(self):

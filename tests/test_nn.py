@@ -1,6 +1,5 @@
 import struct
 import threading
-import tracemalloc
 import weakref
 import zlib
 from pathlib import Path
@@ -20,6 +19,7 @@ from diffdec.nn import tensor as T
 from diffdec.nn.tensor import _BLOCK_FLOATS
 from diffdec.nn.tensor import Tensor
 from diffdec.training import training_step
+from conftest import peak_traced_bytes
 from oracles import codes, finite_diff_param_grad, pseudo_ldpc_49_24
 
 # Parameter gradients of _reference_case_grads as computed before the weight
@@ -681,12 +681,7 @@ class TestGraphRelease:
         schedule = NoiseSchedule.constant(0.25, 3)
         rng = make_rng(52)
         training_step(model, schedule, 128, rng)  # warm: the parameters hold gradients
-        tracemalloc.start()
-        try:
-            training_step(model, schedule, 128, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(lambda: training_step(model, schedule, 128, rng))
         assert peak < 12.5 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
